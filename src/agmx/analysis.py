@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -171,13 +171,7 @@ def compare(
     kappa = f.lipschitz / f.mu
     rows = []
     for method in methods:
-        cfg = SolverConfig(
-            method=method,
-            tol_rel_grad=config.tol_rel_grad,
-            max_iter=config.max_iter,
-            record_lyapunov=config.record_lyapunov,
-            seed=config.seed,
-        )
+        cfg = replace(config, method=method)
         t0 = time.perf_counter()
         try:
             trace = solve(f, cfg, x0)

@@ -5,10 +5,11 @@ Subcommands: ``run`` (one method, trace CSV + JSON summary), ``compare``
 (theoretical-rate catalog).  Outputs are byte-identical across repeated runs
 with the same flags and seed, runtime columns excepted.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 non-convergence or
-failed check, 3 divergence.  The seed comes from --seed, else the AGMX_SEED
-environment variable, else 42.  The start vector x0 is drawn componentwise
-from Unif(0,1) with a fresh Rng(seed); diagnose sweep states use Rng(seed+1).
+Exit codes: 0 success, 1 usage or configuration error (an unwritable --out
+included), 2 non-convergence or failed check, 3 divergence.  The seed comes
+from --seed, else the AGMX_SEED environment variable, else 42.  The start
+vector x0 is drawn componentwise from Unif(0,1) with a fresh Rng(seed);
+diagnose sweep states use Rng(seed+1).
 """
 
 from __future__ import annotations
@@ -140,15 +141,15 @@ def _write_trace_csv(trace: solvers.Trace, stream: IO[str]) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.out is None:
+        raise ValueError("run requires --out for the trace CSV")
     seed = _seed_of(args)
     method = solvers.parse_method(args.method)
     f = analysis.ensure_minimizer(_build_problem(args, seed))
     x0 = problems.Rng(seed).uniform(f.dim)
     config = SolverConfig(method=method, tol_rel_grad=args.tol,
-                          max_iter=args.max_iter, seed=seed)
+                          max_iter=args.max_iter)
     trace = solvers.solve(f, config, x0)
-    if args.out is None:
-        raise ValueError("run requires --out for the trace CSV")
     with open(args.out, "w") as stream:
         _write_trace_csv(trace, stream)
     series = trace.y_err_sq if method in solvers.HNAG_FAMILY else trace.x_err_sq
@@ -181,7 +182,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     f = analysis.ensure_minimizer(_build_problem(args, seed))
     x0 = problems.Rng(seed).uniform(f.dim)
     config = SolverConfig(method=methods[0], tol_rel_grad=args.tol,
-                          max_iter=args.max_iter, seed=seed)
+                          max_iter=args.max_iter)
     regime = (RateRegime.QUADRATIC_OR_ASYMPTOTIC if args.regime == "asymptotic"
               else RateRegime.GENERAL)
     rows = analysis.compare(f, methods, config, x0, regime=regime)
@@ -243,7 +244,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             return _USAGE_ERROR
         x0 = problems.Rng(seed).uniform(f.dim)
         config = SolverConfig(method=required, tol_rel_grad=args.tol,
-                              max_iter=args.max_iter, record_lyapunov=True, seed=seed)
+                              max_iter=args.max_iter, record_lyapunov=True)
         trace = solvers.solve(f, config, x0)
         report = contraction_residuals(theorem, trace, f)
         if args.out:
@@ -338,7 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DivergenceError as err:
         sys.stderr.write(f"error: {err}\n")
         return _DIVERGED
-    except (ValueError, analysis.OracleError) as err:
+    except (ValueError, OSError, analysis.OracleError) as err:
         sys.stderr.write(f"error: {err}\n")
         return _USAGE_ERROR
 

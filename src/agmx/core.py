@@ -30,6 +30,10 @@ class ObjectiveLike(Protocol):
     ``hessian_lipschitz`` is an optional bound on the Hessian's Lipschitz
     constant; ``minimizer`` is the unique global minimizer when known (exact
     for quadratics, attached by the minimizer oracle otherwise).
+
+    ``value_and_gradient`` returns ``(value(x), gradient(x))`` with both parts
+    bit-identical to the separate calls; an objective that can read its value
+    off the gradient's work (a quadratic) saves the second evaluation there.
     """
 
     dim: int
@@ -41,6 +45,8 @@ class ObjectiveLike(Protocol):
     def value(self, x: Vector) -> float: ...
 
     def gradient(self, x: Vector) -> Vector: ...
+
+    def value_and_gradient(self, x: Vector) -> tuple[float, Vector]: ...
 
 
 @dataclass
@@ -60,6 +66,9 @@ class SimpleObjective:
 
     def gradient(self, x: Vector) -> Vector:
         return np.asarray(self.grad_fn(x), dtype=np.float64)
+
+    def value_and_gradient(self, x: Vector) -> tuple[float, Vector]:
+        return self.value(x), self.gradient(x)
 
 
 class ShiftedObjective:
@@ -98,6 +107,9 @@ class ShiftedObjective:
         if self.shift == 0.0:
             return self.base.gradient(x)
         return self.base.gradient(x) - self.shift * (x - self.center)
+
+    def value_and_gradient(self, x: Vector) -> tuple[float, Vector]:
+        return self.value(x), self.gradient(x)
 
 
 def _check_dims(f: ObjectiveLike, *vecs: Vector) -> None:

@@ -156,6 +156,12 @@ class QuadraticObjective:
     def gradient(self, x: Vector) -> Vector:
         return self.matrix @ (x - self.center)
 
+    def value_and_gradient(self, x: Vector) -> tuple[float, Vector]:
+        # g = A (x - c), so 1/2 (x - c) . g is value(x) bit for bit without
+        # a second matvec
+        g = self.gradient(x)
+        return 0.5 * float((x - self.center) @ g), g
+
     def description(self) -> dict:
         if self._description is None:
             raise ValueError("this quadratic was built ad hoc and has no description")
@@ -241,6 +247,9 @@ class PiecewiseSmoothObjective:
         t = self.A.T @ x - self.b
         return self.A @ piecewise_h_prime(t, self.eps) + self.mu * x
 
+    def value_and_gradient(self, x: Vector) -> tuple[float, Vector]:
+        return self.value(x), self.gradient(x)
+
     def description(self) -> dict:
         return dict(self._description)
 
@@ -314,6 +323,9 @@ class LogisticObjective:
     def gradient(self, x: Vector) -> Vector:
         s = self.b * (self.A.T @ x)
         return self.A @ (-self.b * _sigmoid(-s)) + self.lam * x
+
+    def value_and_gradient(self, x: Vector) -> tuple[float, Vector]:
+        return self.value(x), self.gradient(x)
 
     def description(self) -> dict:
         return dict(self._description)

@@ -23,6 +23,7 @@ Each step of a Hessian-driven method evaluates the gradient exactly once.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -149,14 +150,16 @@ class SolverState:
     """One method's iterate bundle.
 
     ``aux`` holds v = alpha * y for the Hessian-driven family, y for NAG, the
-    pair (xi_k, xi_{k-1}) for TM, and mirrors x for GD.  ``grad_cache`` is the
-    last gradient evaluated at ``x``; the stopping rule reads it for free.
+    pair (xi_k, xi_{k-1}) for TM, and mirrors x for GD.  ``grad_cache`` and
+    ``f_cache`` are the gradient and value last evaluated at ``x``; the
+    stopping rule and the trace read them for free.
     """
 
     x: Vector
     aux: Vector
     k: int
     grad_cache: Vector
+    f_cache: float
 
 
 def init_state(
@@ -168,24 +171,119 @@ def init_state(
         raise DimensionError(f"x0 has shape {x0.shape}, expected ({f.dim},)")
     if not np.isfinite(x0).all():
         raise ValueError("x0 must be finite")
-    g0 = f.gradient(x0)
+    f0, g0 = f.value_and_gradient(x0)
     if method in HNAG_FAMILY:
         aux = params.alpha * x0
     elif method is MethodKind.TM:
         aux = np.stack([x0, x0])
     else:
         aux = x0.copy()
-    return SolverState(x=x0.copy(), aux=aux, k=0, grad_cache=g0)
+    return SolverState(x=x0.copy(), aux=aux, k=0, grad_cache=g0, f_cache=f0)
+
+
+def _read_y(method: MethodKind, state: SolverState, params: MethodParams,
+            out: Vector, tmp: Vector) -> Vector:
+    """y_k written into ``out`` (``tmp`` is scratch); GD and NAG return aux."""
+    if method in HNAG_FAMILY:
+        return np.divide(state.aux, params.alpha, out=out)
+    if method is MethodKind.TM:
+        g_tm = params.tm_coeffs[2]
+        np.multiply(state.aux[0], 1.0 + g_tm, out=out)
+        np.multiply(state.aux[1], g_tm, out=tmp)
+        return np.subtract(out, tmp, out=out)
+    return state.aux
 
 
 def aux_point(method: MethodKind, state: SolverState, params: MethodParams) -> Vector:
     """The method's reported auxiliary iterate y_k."""
-    if method in HNAG_FAMILY:
-        return state.aux / params.alpha
-    if method is MethodKind.TM:
-        _, _, g_tm, _ = params.tm_coeffs
-        return (1.0 + g_tm) * state.aux[0] - g_tm * state.aux[1]
-    return state.aux
+    return _read_y(method, state, params,
+                   np.empty_like(state.x), np.empty_like(state.x))
+
+
+def _combine(p: Vector, q: Vector, c: float, g: Vector, den: float,
+             out: Vector, tmp: Vector) -> Vector:
+    """out = (p + q - c * g) / den, rounded exactly as that expression."""
+    np.add(p, q, out=out)
+    np.multiply(g, c, out=tmp)
+    np.subtract(out, tmp, out=out)
+    return np.divide(out, den, out=out)
+
+
+def _advance(method: MethodKind, params: MethodParams, f: ObjectiveLike,
+             src: SolverState, dst: SolverState, tmp: Vector) -> None:
+    """The update kernel: write the iterate after ``src`` into ``dst``.
+
+    ``dst`` owns arrays shared with neither ``src`` nor ``tmp`` (scratch).
+    Every update evaluates its formula operation by operation in the order
+    the formula reads, so the iterates equal those of the plain array
+    expressions bit for bit.  The gradient at the new x comes from
+    ``f.value_and_gradient``; gradients are only read, never written.
+    """
+    x, aux, g = src.x, src.aux, src.grad_cache
+    x_new, aux_new = dst.x, dst.aux
+    a = params.alpha
+
+    if method is MethodKind.HNAG or method is MethodKind.HNAG_PLUS:
+        if method is MethodKind.HNAG:
+            # x_new = (x + aux - x_c g) / (1 + a)
+            _combine(x, aux, params.x_grad_coeff, g, 1.0 + a, x_new, tmp)
+        else:
+            # x_new = (x + 2 aux - x_c g) / (1 + 2a)
+            np.multiply(aux, 2.0, out=x_new)
+            _combine(x, x_new, params.x_grad_coeff, g, 1.0 + 2.0 * a, x_new, tmp)
+        dst.f_cache, dst.grad_cache = f.value_and_gradient(x_new)
+        # aux_new = (aux + alpha^2 x_new - v_c g_new) / (1 + a)
+        np.multiply(x_new, params.alpha_sq, out=aux_new)
+        _combine(aux, aux_new, params.v_grad_coeff, dst.grad_cache, 1.0 + a,
+                 aux_new, tmp)
+    elif method is MethodKind.HNAG_BOX:
+        # aux_new = (aux + alpha^2 x - v_c g) / (1 + a)
+        np.multiply(x, params.alpha_sq, out=aux_new)
+        _combine(aux, aux_new, params.v_grad_coeff, g, 1.0 + a, aux_new, tmp)
+        # x_new = (x + aux_new - x_c g) / (1 + a)
+        _combine(x, aux_new, params.x_grad_coeff, g, 1.0 + a, x_new, tmp)
+        dst.f_cache, dst.grad_cache = f.value_and_gradient(x_new)
+    elif method is MethodKind.GD:
+        # x_new = x - step g
+        np.multiply(g, params.gd_step, out=tmp)
+        np.subtract(x, tmp, out=x_new)
+        dst.f_cache, dst.grad_cache = f.value_and_gradient(x_new)
+        dst.aux = x_new
+    elif method is MethodKind.NAG:
+        # x_new = y - g(y) / L;  y_new = x_new + momentum (x_new - x)
+        np.multiply(f.gradient(aux), params.inv_lipschitz, out=tmp)
+        np.subtract(aux, tmp, out=x_new)
+        np.subtract(x_new, x, out=aux_new)
+        np.multiply(aux_new, params.momentum, out=aux_new)
+        np.add(x_new, aux_new, out=aux_new)
+        dst.f_cache, dst.grad_cache = f.value_and_gradient(x_new)
+    elif method is MethodKind.TM:
+        a_tm, b_tm, _, d_tm = params.tm_coeffs
+        xi, xi_prev = aux[0], aux[1]
+        xi_new = aux_new[0]
+        # gradient at y = (1 + g_tm) xi - g_tm xi_prev, built in x_new
+        g_y = f.gradient(_read_y(method, src, params, x_new, tmp))
+        # xi_new = (1 + b) xi - b xi_prev - a g(y)
+        np.multiply(xi, 1.0 + b_tm, out=xi_new)
+        np.multiply(xi_prev, b_tm, out=tmp)
+        np.subtract(xi_new, tmp, out=xi_new)
+        np.multiply(g_y, a_tm, out=tmp)
+        np.subtract(xi_new, tmp, out=xi_new)
+        # x_new = (1 + d) xi_new - d xi
+        np.multiply(xi_new, 1.0 + d_tm, out=x_new)
+        np.multiply(xi, d_tm, out=tmp)
+        np.subtract(x_new, tmp, out=x_new)
+        np.copyto(aux_new[1], xi)
+        dst.f_cache, dst.grad_cache = f.value_and_gradient(x_new)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    dst.k = src.k + 1
+
+
+def _blank_like(state: SolverState) -> SolverState:
+    """A state with fresh, unfilled buffers shaped like ``state``'s."""
+    return SolverState(x=np.empty_like(state.x), aux=np.empty_like(state.aux),
+                       k=state.k, grad_cache=state.grad_cache, f_cache=state.f_cache)
 
 
 def step(
@@ -197,45 +295,12 @@ def step(
     """Advance one iteration, returning a fresh state."""
     if params.method is not method:
         raise ValueError(f"params were built for {params.method}, not {method}")
-    x, aux, g = state.x, state.aux, state.grad_cache
-
-    if method is MethodKind.HNAG or method is MethodKind.HNAG_PLUS:
-        a = params.alpha
-        if method is MethodKind.HNAG:
-            x_new = (x + aux - params.x_grad_coeff * g) / (1.0 + a)
-        else:
-            x_new = (x + 2.0 * aux - params.x_grad_coeff * g) / (1.0 + 2.0 * a)
-        g_new = f.gradient(x_new)
-        aux_new = (aux + params.alpha_sq * x_new - params.v_grad_coeff * g_new) / (1.0 + a)
-    elif method is MethodKind.HNAG_BOX:
-        a = params.alpha
-        aux_new = (aux + params.alpha_sq * x - params.v_grad_coeff * g) / (1.0 + a)
-        x_new = (x + aux_new - params.x_grad_coeff * g) / (1.0 + a)
-        g_new = f.gradient(x_new)
-    elif method is MethodKind.GD:
-        x_new = x - params.gd_step * g
-        g_new = f.gradient(x_new)
-        aux_new = x_new
-    elif method is MethodKind.NAG:
-        gy = f.gradient(aux)
-        x_new = aux - params.inv_lipschitz * gy
-        aux_new = x_new + params.momentum * (x_new - x)
-        g_new = f.gradient(x_new)
-    elif method is MethodKind.TM:
-        a_tm, b_tm, g_tm, d_tm = params.tm_coeffs
-        xi, xi_prev = aux[0], aux[1]
-        y = (1.0 + g_tm) * xi - g_tm * xi_prev
-        xi_new = (1.0 + b_tm) * xi - b_tm * xi_prev - a_tm * f.gradient(y)
-        x_new = (1.0 + d_tm) * xi_new - d_tm * xi
-        aux_new = np.stack([xi_new, xi])
-        g_new = f.gradient(x_new)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    if not (np.isfinite(x_new).all() and np.isfinite(aux_new).all()
-            and np.isfinite(g_new).all()):
-        raise DivergenceError(method, state.k + 1)
-    return SolverState(x=x_new, aux=aux_new, k=state.k + 1, grad_cache=g_new)
+    new = _blank_like(state)
+    _advance(method, params, f, state, new, np.empty_like(state.x))
+    if not (np.isfinite(new.x).all() and np.isfinite(new.aux).all()
+            and np.isfinite(new.grad_cache).all()):
+        raise DivergenceError(method, new.k)
+    return new
 
 
 class TerminalStatus(enum.Enum):
@@ -249,7 +314,6 @@ class SolverConfig:
     tol_rel_grad: float = 1e-8
     max_iter: int = 10**6
     record_lyapunov: bool = True
-    seed: int = 42
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tol_rel_grad < 1.0:
@@ -297,6 +361,12 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
     Stopping rule: ||grad f(x_k)|| <= tol_rel_grad * ||grad f(x_0)||.
     The objective must carry its minimizer (exact or oracle-attached) because
     every record includes distance-to-minimizer columns.
+
+    The loop runs the same kernel as ``step`` into two preallocated states
+    used in turn, so the trace is bit-identical to stepping with ``step``.
+    A non-finite iterate, auxiliary or gradient makes one of the recorded
+    squared norms non-finite, so that check alone detects divergence, at the
+    same iteration as ``step`` would.
     """
     if f.minimizer is None:
         raise MinimizerUnknownError(
@@ -306,10 +376,12 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
     method = config.method
     params = make_params(method, f.mu, f.lipschitz)
     state = init_state(method, f, x0, params)
+    spare = _blank_like(state)
     xstar = np.asarray(f.minimizer, dtype=np.float64)
     fstar = f.value(xstar)
     mu = f.mu
     y_weight = mu if method is MethodKind.HNAG_PLUS else 0.5 * mu
+    dx, dy, tmp = (np.empty_like(state.x) for _ in range(3))
 
     cols: dict[str, list] = {name: [] for name in (
         "f_gap", "grad_norm", "x_err_sq", "y_err_sq", "E", "E_shifted", "gsh")}
@@ -318,17 +390,18 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
         # squared quantities can overflow long before coordinates do; treat
         # that as divergence rather than recording infinities
         with np.errstate(over="ignore", invalid="ignore"):
-            dx = st.x - xstar
-            dy = aux_point(method, st, params) - xstar
-            f_gap = f.value(st.x) - fstar
+            np.subtract(st.x, xstar, out=dx)
+            np.subtract(_read_y(method, st, params, dy, tmp), xstar, out=dy)
+            f_gap = st.f_cache - fstar
             x_err = float(dx @ dx)
             y_err = float(dy @ dy)
             grad_norm = float(np.linalg.norm(st.grad_cache))
             gsh_sq = 0.0
             if config.record_lyapunov:
-                gsh = st.grad_cache - mu * dx
-                gsh_sq = float(gsh @ gsh)
-        if not np.isfinite([f_gap, x_err, y_err, grad_norm, gsh_sq]).all():
+                np.multiply(dx, mu, out=tmp)
+                np.subtract(st.grad_cache, tmp, out=tmp)
+                gsh_sq = float(tmp @ tmp)
+        if not all(map(math.isfinite, (f_gap, x_err, y_err, grad_norm, gsh_sq))):
             raise DivergenceError(method, st.k)
         cols["f_gap"].append(f_gap)
         cols["grad_norm"].append(grad_norm)
@@ -349,7 +422,8 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
             break
         if state.k >= config.max_iter:
             break
-        state = step(method, state, f, params)
+        _advance(method, params, f, state, spare, tmp)
+        state, spare = spare, state
         record(state)
 
     n = len(cols["f_gap"])

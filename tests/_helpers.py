@@ -1,9 +1,11 @@
-"""Shared test objects: bespoke quadratics, a quartic, counting wrappers."""
+"""Shared test objects: bespoke quadratics, a quartic, counting wrappers,
+and the allocating reference step and solve loop."""
 
 import numpy as np
 import scipy.sparse as sp
 
-from agmx import QuadraticObjective, SimpleObjective
+from agmx import MethodKind, QuadraticObjective, SimpleObjective
+from agmx.solvers import HNAG_FAMILY, DivergenceError, SolverState, make_params
 
 
 def diagonal_quadratic(lams, center=None):
@@ -59,6 +61,10 @@ class CountingObjective:
         self.grad_calls += 1
         return self.base.gradient(x)
 
+    def value_and_gradient(self, x):
+        # counted through value and gradient, like the generic objectives
+        return self.value(x), self.gradient(x)
+
 
 def splitmix64_reference(seed, count):
     """Pure-python SplitMix64 uniforms, independent of the numpy implementation."""
@@ -71,3 +77,110 @@ def splitmix64_reference(seed, count):
         z = z ^ (z >> 31)
         out.append((z >> 11) * 2.0**-53)
     return np.array(out)
+
+
+def reference_step(method, state, f, params):
+    """One step as plain allocating array expressions, checked for finiteness.
+
+    The update formulas of the library's in-place kernel, written the obvious
+    way; the kernel must reproduce them bit for bit.
+    """
+    x, aux, g = state.x, state.aux, state.grad_cache
+    if method is MethodKind.HNAG or method is MethodKind.HNAG_PLUS:
+        a = params.alpha
+        if method is MethodKind.HNAG:
+            x_new = (x + aux - params.x_grad_coeff * g) / (1.0 + a)
+        else:
+            x_new = (x + 2.0 * aux - params.x_grad_coeff * g) / (1.0 + 2.0 * a)
+        g_new = f.gradient(x_new)
+        aux_new = (aux + params.alpha_sq * x_new - params.v_grad_coeff * g_new) / (1.0 + a)
+    elif method is MethodKind.HNAG_BOX:
+        a = params.alpha
+        aux_new = (aux + params.alpha_sq * x - params.v_grad_coeff * g) / (1.0 + a)
+        x_new = (x + aux_new - params.x_grad_coeff * g) / (1.0 + a)
+        g_new = f.gradient(x_new)
+    elif method is MethodKind.GD:
+        x_new = x - params.gd_step * g
+        g_new = f.gradient(x_new)
+        aux_new = x_new
+    elif method is MethodKind.NAG:
+        gy = f.gradient(aux)
+        x_new = aux - params.inv_lipschitz * gy
+        aux_new = x_new + params.momentum * (x_new - x)
+        g_new = f.gradient(x_new)
+    else:
+        a_tm, b_tm, g_tm, d_tm = params.tm_coeffs
+        xi, xi_prev = aux[0], aux[1]
+        y = (1.0 + g_tm) * xi - g_tm * xi_prev
+        xi_new = (1.0 + b_tm) * xi - b_tm * xi_prev - a_tm * f.gradient(y)
+        x_new = (1.0 + d_tm) * xi_new - d_tm * xi
+        aux_new = np.stack([xi_new, xi])
+        g_new = f.gradient(x_new)
+    if not (np.isfinite(x_new).all() and np.isfinite(aux_new).all()
+            and np.isfinite(g_new).all()):
+        raise DivergenceError(method, state.k + 1)
+    return SolverState(x=x_new, aux=aux_new, k=state.k + 1, grad_cache=g_new,
+                       f_cache=float("nan"))
+
+
+def reference_solve(f, method, x0, tol_rel_grad=1e-8, max_iter=10**6,
+                    record_lyapunov=True):
+    """Trace columns of a solve made of ``reference_step`` and ``f.value``.
+
+    Returns a dict keyed like the ``Trace`` fields; raises ``DivergenceError``
+    where a step or a record goes non-finite.
+    """
+    params = make_params(method, f.mu, f.lipschitz)
+    x0 = np.asarray(x0, dtype=np.float64)
+    if method in HNAG_FAMILY:
+        aux = params.alpha * x0
+    elif method is MethodKind.TM:
+        aux = np.stack([x0, x0])
+    else:
+        aux = x0.copy()
+    state = SolverState(x=x0.copy(), aux=aux, k=0, grad_cache=f.gradient(x0),
+                        f_cache=float("nan"))
+    xstar = np.asarray(f.minimizer, dtype=np.float64)
+    fstar = f.value(xstar)
+    mu = f.mu
+    y_weight = mu if method is MethodKind.HNAG_PLUS else 0.5 * mu
+    cols = {c: [] for c in ("f_gap", "grad_norm", "x_err_sq", "y_err_sq", "E",
+                            "E_shifted", "grad_shifted_sq")}
+
+    def record(st):
+        if method in HNAG_FAMILY:
+            y = st.aux / params.alpha
+        elif method is MethodKind.TM:
+            g_tm = params.tm_coeffs[2]
+            y = (1.0 + g_tm) * st.aux[0] - g_tm * st.aux[1]
+        else:
+            y = st.aux
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx = st.x - xstar
+            dy = y - xstar
+            f_gap = f.value(st.x) - fstar
+            x_err = float(dx @ dx)
+            y_err = float(dy @ dy)
+            grad_norm = float(np.linalg.norm(st.grad_cache))
+            gsh = st.grad_cache - mu * dx
+            gsh_sq = float(gsh @ gsh) if record_lyapunov else 0.0
+        if not np.isfinite([f_gap, x_err, y_err, grad_norm, gsh_sq]).all():
+            raise DivergenceError(method, st.k)
+        cols["f_gap"].append(f_gap)
+        cols["grad_norm"].append(grad_norm)
+        cols["x_err_sq"].append(x_err)
+        cols["y_err_sq"].append(y_err)
+        cols["E"].append(f_gap + 0.5 * mu * y_err)
+        cols["E_shifted"].append(f_gap - 0.5 * mu * x_err + y_weight * y_err)
+        cols["grad_shifted_sq"].append(gsh_sq)
+
+    record(state)
+    threshold = tol_rel_grad * cols["grad_norm"][0]
+    while cols["grad_norm"][-1] > threshold and state.k < max_iter:
+        state = reference_step(method, state, f, params)
+        record(state)
+    out = {c: np.asarray(v) for c, v in cols.items()}
+    out["k"] = np.arange(len(cols["f_gap"]), dtype=np.int64)
+    if not record_lyapunov:
+        out["grad_shifted_sq"] = None
+    return out

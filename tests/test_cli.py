@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from agmx import cli
 from agmx.solvers import DivergenceError, MethodKind
 
@@ -30,9 +32,28 @@ class TestHelpAndUsage:
     def test_unknown_problem(self, capsys):
         assert run_cli(["run", "--problem", "mystery", "--method", "gd"]) == 1
 
-    def test_run_requires_out(self, capsys):
+    def test_run_requires_out(self, monkeypatch, capsys):
+        # rejected before any problem is built or solved
+        def no_build(args, seed):
+            raise AssertionError("run built a problem without --out")
+        monkeypatch.setattr(cli, "_build_problem", no_build)
         assert run_cli(["run", *LAP9, "--method", "gd"]) == 1
         assert "--out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", *LAP9, "--method", "hnag"],
+        ["compare", *LAP9, "--methods", "gd,hnag"],
+        ["diagnose", *LAP9, "--check", "thm_hnag_funcval"],
+        ["diagnose", *LAP9, "--check", "strong_hnag", "--states", "4"],
+        ["rates"],
+    ])
+    def test_unwritable_out(self, argv, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "out.csv"
+        assert run_cli([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert str(out) in err
 
 
 class TestRun:
