@@ -13,18 +13,17 @@ import sys
 
 sys.path.insert(0, "src")
 
-import numpy as np
-
 import agmx
 from agmx import (
     ContractionTheorem,
     LyapunovKind,
-    MethodKind,
     SolverConfig,
+    check_method,
     contraction_residuals,
+    flow_beta,
     shift_schedule,
     solve,
-    strong_lyapunov_terms,
+    strong_lyapunov_sweep,
 )
 
 
@@ -45,45 +44,34 @@ def main() -> int:
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
 
-    checks = [
-        (ContractionTheorem.THM_HNAG_FUNCVAL, MethodKind.HNAG),
-        (ContractionTheorem.THM_HNAG_PLUS, MethodKind.HNAG_PLUS),
-    ]
     for name, f in problems.items():
         x0 = agmx.Rng(args.seed).uniform(f.dim)
-        for theorem, method in checks:
-            trace = solve(f, SolverConfig(method=method), x0)
+        for theorem in (ContractionTheorem.THM_HNAG_FUNCVAL, ContractionTheorem.THM_HNAG_PLUS):
+            trace = solve(f, SolverConfig(method=check_method(theorem.value)), x0)
             rep = contraction_residuals(theorem, trace, f)
             report(rep.passes(1e-10), f"{theorem.value} on {name}",
                    f"{trace.iterations} iters, "
                    f"viol/E0={rep.max_violation / rep.initial_energy:.2e}")
         if name.startswith("laplacian"):
-            trace = solve(f, SolverConfig(method=MethodKind.HNAG), x0)
+            method = check_method(ContractionTheorem.PROP_QUADRATIC.value)
+            trace = solve(f, SolverConfig(method=method), x0)
             rep = contraction_residuals(ContractionTheorem.PROP_QUADRATIC, trace, f)
             report(rep.passes(1e-10), f"prop_quadratic on {name}",
                    f"viol/E0={rep.max_violation / rep.initial_energy:.2e}")
 
     sweeps = [
-        (LyapunovKind.E_HNAG, MethodKind.HNAG, 0.0),
-        (LyapunovKind.E_HNAG_PLUS, MethodKind.HNAG_PLUS, 0.0),
-        (LyapunovKind.E_PARTIAL, MethodKind.HNAG, 0.5),
-        (LyapunovKind.E_PARTIAL, MethodKind.HNAG, 0.99),
+        (LyapunovKind.E_HNAG, 0.0),
+        (LyapunovKind.E_HNAG_PLUS, 0.0),
+        (LyapunovKind.E_PARTIAL, 0.5),
+        (LyapunovKind.E_PARTIAL, 0.99),
     ]
     for name, f in problems.items():
-        xstar = np.asarray(f.minimizer)
-        for kind, method, frac in sweeps:
-            p = agmx.make_params(method, f.mu, f.lipschitz)
-            beta = p.alpha_beta / p.alpha
-            rng = agmx.Rng(args.seed)
-            worst = np.inf
-            for i in range(100):
-                scale = (1e-2, 1.0, 50.0)[i % 3]
-                x = xstar + scale * rng.standard_normal(f.dim)
-                y = xstar + scale * rng.standard_normal(f.dim)
-                lhs, rhs = strong_lyapunov_terms(kind, f, x, y, beta, frac * f.mu)
-                worst = min(worst, (lhs - rhs) + 1e-12 * (1 + abs(lhs)))
+        for kind, frac in sweeps:
+            rep = strong_lyapunov_sweep(kind, f, flow_beta(kind, f), agmx.Rng(args.seed),
+                                        100, (1e-2, 1.0, 50.0), frac * f.mu)
             tag = kind.value if frac == 0.0 else f"{kind.value}(mu_hat={frac}mu)"
-            report(worst >= 0.0, f"{tag} sweep on {name}", f"worst margin {worst:.2e}")
+            report(rep.passes(), f"{tag} sweep on {name}",
+                   f"worst margin {rep.worst_margin:.2e}")
 
     for rho in (1e-2, 1e-4):
         s = shift_schedule(delta0=1e-4, a=0.125, rho=rho, k_max=10**4)

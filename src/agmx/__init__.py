@@ -24,15 +24,22 @@ from .core import (
     grad_step,
 )
 from .lyapunov import (
+    CHECKS,
+    Anchor,
     ContractionReport,
     ContractionTheorem,
     LyapunovKind,
     ShiftSchedule,
+    SweepReport,
     asymmetry_bound_check,
+    check_method,
     contraction_residuals,
+    flow_beta,
     lyapunov,
+    minimizer_anchor,
     shift_schedule,
     strong_lyapunov_residual,
+    strong_lyapunov_sweep,
     strong_lyapunov_terms,
 )
 from .problems import (

@@ -21,17 +21,19 @@ import os
 import sys
 from typing import IO, Optional, Sequence
 
-import numpy as np
-
 from . import analysis, problems, solvers
 from .analysis import RateRegime
-from .lyapunov import (
+from .lyapunov import (  # noqa: F401  strong_lyapunov_terms: bench/instrument.py wraps it
+    CHECKS,
     ContractionTheorem,
     LyapunovKind,
+    check_method,
     contraction_residuals,
+    flow_beta,
+    strong_lyapunov_sweep,
     strong_lyapunov_terms,
 )
-from .solvers import DivergenceError, MethodKind, SolverConfig, TerminalStatus
+from .solvers import DivergenceError, SolverConfig, TerminalStatus
 
 TRACE_CSV_HEADER = "k,f_gap,grad_norm,x_err_sq,y_err_sq,E,E_shifted"
 
@@ -206,47 +208,31 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0 if all_converged else _NOT_CONVERGED
 
 
-_THEOREM_CHECKS = {
-    "thm_hnag_funcval": ContractionTheorem.THM_HNAG_FUNCVAL,
-    "thm_hnag_plus": ContractionTheorem.THM_HNAG_PLUS,
-    "prop_quadratic": ContractionTheorem.PROP_QUADRATIC,
-}
-_SWEEP_CHECKS = {
-    "strong_hnag": LyapunovKind.E_HNAG,
-    "strong_hnag_plus": LyapunovKind.E_HNAG_PLUS,
-    "strong_partial": LyapunovKind.E_PARTIAL,
-}
+_SWEEP_SCALES = (1e-3, 1e-1, 1.0, 10.0)
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     seed = _seed_of(args)
     check = args.check.strip().lower()
-    if check not in _THEOREM_CHECKS and check not in _SWEEP_CHECKS:
+    if check not in CHECKS:
         sys.stderr.write(f"error: unknown check '{args.check}'\n")
+        return _USAGE_ERROR
+    if args.states < 1:
+        raise ValueError(f"--states must be >= 1, got {args.states}")
+    target = CHECKS[check][0]
+    method = check_method(check, args.method)
+    if target is ContractionTheorem.PROP_QUADRATIC and args.problem != "laplacian2d":
+        sys.stderr.write("error: prop_quadratic needs a quadratic problem "
+                         "(laplacian2d)\n")
         return _USAGE_ERROR
     f = analysis.ensure_minimizer(_build_problem(args, seed))
 
-    if check in _THEOREM_CHECKS:
-        theorem = _THEOREM_CHECKS[check]
-        required = {
-            ContractionTheorem.THM_HNAG_FUNCVAL: MethodKind.HNAG,
-            ContractionTheorem.THM_HNAG_PLUS: MethodKind.HNAG_PLUS,
-            ContractionTheorem.PROP_QUADRATIC: MethodKind.HNAG,
-        }[theorem]
-        if args.method is not None and solvers.parse_method(args.method) is not required:
-            sys.stderr.write(
-                f"error: {check} applies to method '{required.value}', "
-                f"not '{args.method}'\n")
-            return _USAGE_ERROR
-        if theorem is ContractionTheorem.PROP_QUADRATIC and args.problem != "laplacian2d":
-            sys.stderr.write("error: prop_quadratic needs a quadratic problem "
-                             "(laplacian2d)\n")
-            return _USAGE_ERROR
+    if isinstance(target, ContractionTheorem):
         x0 = problems.Rng(seed).uniform(f.dim)
-        config = SolverConfig(method=required, tol_rel_grad=args.tol,
+        config = SolverConfig(method=method, tol_rel_grad=args.tol,
                               max_iter=args.max_iter, record_lyapunov=True)
         trace = solvers.solve(f, config, x0)
-        report = contraction_residuals(theorem, trace, f)
+        report = contraction_residuals(target, trace, f)
         if args.out:
             with open(args.out, "w") as stream:
                 report.write_csv(stream)
@@ -261,36 +247,17 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         }))
         return 0 if ok else _NOT_CONVERGED
 
-    kind = _SWEEP_CHECKS[check]
-    mu_hat = args.mu_hat_frac * f.mu if kind is LyapunovKind.E_PARTIAL else 0.0
-    method = MethodKind.HNAG_PLUS if kind is LyapunovKind.E_HNAG_PLUS else MethodKind.HNAG
-    params = solvers.make_params(method, f.mu, f.lipschitz)
-    beta = params.alpha_beta / params.alpha
-    rng = problems.Rng(seed + 1)
-    xstar = np.asarray(f.minimizer)
-    scales = (1e-3, 1e-1, 1.0, 10.0)
-    rows = []
-    worst_i, worst_margin = 0, np.inf
-    for i in range(args.states):
-        scale = scales[i % len(scales)]
-        x = xstar + scale * rng.standard_normal(f.dim)
-        y = xstar + scale * rng.standard_normal(f.dim)
-        lhs, rhs = strong_lyapunov_terms(kind, f, x, y, beta, mu_hat)
-        residual = lhs - rhs
-        margin = residual + 1e-12 * (1.0 + abs(lhs))
-        rows.append((i, lhs, rhs, residual))
-        if margin < worst_margin:
-            worst_i, worst_margin = i, float(margin)
-    ok = bool(worst_margin >= 0.0)
+    mu_hat = args.mu_hat_frac * f.mu if target is LyapunovKind.E_PARTIAL else 0.0
+    sweep = strong_lyapunov_sweep(target, f, flow_beta(target, f), problems.Rng(seed + 1),
+                                  args.states, _SWEEP_SCALES, mu_hat)
     if args.out:
         with open(args.out, "w") as stream:
-            stream.write("k,lhs,rhs,residual\n")
-            for i, lhs_v, rhs_v, res_v in rows:
-                stream.write(f"{i},{lhs_v!r},{rhs_v!r},{res_v!r}\n")
+            sweep.write_csv(stream)
+    ok = sweep.passes()
     print(json.dumps({
         "check": check, "states": args.states,
-        "worst_margin": float(worst_margin),
-        "violated_state": None if ok else int(worst_i),
+        "worst_margin": _json_float(sweep.worst_margin),
+        "violated_state": None if ok else sweep.worst_k,
         "pass": ok,
     }))
     return 0 if ok else _NOT_CONVERGED

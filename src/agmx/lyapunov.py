@@ -6,7 +6,8 @@ Three energies, one per analysis route:
 * ``E_HNAG_PLUS``   D_{f-mu}(x, x*) + mu ||y - x*||^2        (full shift, 2x y-weight)
 * ``E_PARTIAL``     D_{f-mu_hat}(x, x*) + mu/2 ||y - x*||^2  (partial shift)
 
-``strong_lyapunov_residual`` checks the continuous-time dissipation bounds,
+``strong_lyapunov_residual`` checks the continuous-time dissipation bounds
+at one state and ``strong_lyapunov_sweep`` at many,
 ``contraction_residuals`` the per-iteration discrete contractions, and
 ``shift_schedule`` materializes the analysis-only shift sequences.  None of
 these feed back into the solvers; they only certify what the solvers did.
@@ -16,19 +17,20 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .core import (
+from .core import (  # noqa: F401  bregman: bench/instrument.py wraps this binding
     MinimizerUnknownError,
     ObjectiveLike,
-    ShiftedObjective,
     Vector,
+    _check_dims,
     bregman,
     bregman_asymmetry,
 )
-from .solvers import MethodKind, Trace
+from .problems import Rng
+from .solvers import MethodKind, Trace, make_params, parse_method
 
 
 class LyapunovKind(enum.Enum):
@@ -43,6 +45,53 @@ def _minimizer(f: ObjectiveLike) -> Vector:
     return np.asarray(f.minimizer, dtype=np.float64)
 
 
+@dataclass(frozen=True)
+class Anchor:
+    """The minimizer x* with f(x*) and grad f(x*), evaluated once.
+
+    Every energy is a Bregman divergence to x*, so a sweep over many states
+    computes this once and shares it.
+    """
+
+    xstar: Vector
+    fstar: float
+    gstar: Vector
+
+
+def minimizer_anchor(f: ObjectiveLike) -> Anchor:
+    """x* with one ``value_and_gradient`` call there."""
+    xstar = _minimizer(f)
+    fstar, gstar = f.value_and_gradient(xstar)
+    return Anchor(xstar, fstar, gstar)
+
+
+def _check_mu_hat(mu_hat: float, mu: float) -> None:
+    if not 0.0 <= mu_hat <= mu:
+        raise ValueError(f"mu_hat must lie in [0, mu]; got {mu_hat}")
+
+
+def _shifted_bregman(fx: float, dx: Vector, a: Anchor, shift: float) -> float:
+    """D_{f - shift/2 ||. - x*||^2}(x, x*) from f(x) and the anchor.
+
+    Evaluated as ``bregman(ShiftedObjective(f, shift, x*), x, x*)`` does, bit
+    for bit: at x* the shifted value and gradient subtract exact zeros, so
+    they are f(x*) and grad f(x*) themselves.
+    """
+    fx_shifted = fx if shift == 0.0 else fx - 0.5 * shift * float(dx @ dx)
+    return fx_shifted - a.fstar - float(a.gstar @ dx)
+
+
+def _energy(kind: LyapunovKind, fx: float, dx: Vector, dy: Vector, a: Anchor,
+            mu: float, mu_hat: float) -> float:
+    if kind is LyapunovKind.E_HNAG:
+        return _shifted_bregman(fx, dx, a, 0.0) + 0.5 * mu * float(dy @ dy)
+    if kind is LyapunovKind.E_HNAG_PLUS:
+        return _shifted_bregman(fx, dx, a, mu) + mu * float(dy @ dy)
+    if kind is LyapunovKind.E_PARTIAL:
+        return _shifted_bregman(fx, dx, a, mu_hat) + 0.5 * mu * float(dy @ dy)
+    raise ValueError(f"unknown Lyapunov kind {kind!r}")
+
+
 def lyapunov(
     kind: LyapunovKind,
     f: ObjectiveLike,
@@ -55,20 +104,11 @@ def lyapunov(
     ``mu_hat`` only matters for ``E_PARTIAL`` (it is forced to mu for
     ``E_HNAG_PLUS`` and ignored for ``E_HNAG``).
     """
-    xstar = _minimizer(f)
-    mu = f.mu
-    dy = y - xstar
-    if kind is LyapunovKind.E_HNAG:
-        return bregman(f, x, xstar) + 0.5 * mu * float(dy @ dy)
-    if kind is LyapunovKind.E_HNAG_PLUS:
-        shifted = ShiftedObjective(f, mu, xstar)
-        return bregman(shifted, x, xstar) + mu * float(dy @ dy)
+    a = minimizer_anchor(f)
+    _check_dims(f, x)
     if kind is LyapunovKind.E_PARTIAL:
-        if not 0.0 <= mu_hat <= mu:
-            raise ValueError(f"mu_hat must lie in [0, mu]; got {mu_hat}")
-        shifted = ShiftedObjective(f, mu_hat, xstar)
-        return bregman(shifted, x, xstar) + 0.5 * mu * float(dy @ dy)
-    raise ValueError(f"unknown Lyapunov kind {kind!r}")
+        _check_mu_hat(mu_hat, f.mu)
+    return _energy(kind, f.value(x), x - a.xstar, y - a.xstar, a, f.mu, mu_hat)
 
 
 def strong_lyapunov_terms(
@@ -78,20 +118,29 @@ def strong_lyapunov_terms(
     y: Vector,
     beta: float,
     mu_hat: float = 0.0,
+    *,
+    anchor: Optional[Anchor] = None,
 ) -> tuple[float, float]:
     """(-<grad E, G>, proven lower bound) at the state (x, y).
 
     The gradient of E and the flow field G are assembled analytically from
-    grad f, mu, and x*, so ``lhs >= rhs`` certifies the dissipation
-    inequality at this state up to roundoff only.
+    f(x), grad f(x), mu, and the anchor x*, f(x*), grad f(x*), so
+    ``lhs >= rhs`` certifies the dissipation inequality at this state up to
+    roundoff only.  The state costs one ``value_and_gradient`` call; without
+    a precomputed ``anchor`` (see ``minimizer_anchor``) x* costs another.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    xstar = _minimizer(f)
+    a = minimizer_anchor(f) if anchor is None else anchor
+    _check_dims(f, x)
     mu = f.mu
-    g = f.gradient(x)
+    if kind is LyapunovKind.E_PARTIAL:
+        _check_mu_hat(mu_hat, mu)
+    fx, g = f.value_and_gradient(x)
+    xstar = a.xstar
     dx = x - xstar
     dy = y - xstar
+    energy = _energy(kind, fx, dx, dy, a, mu, mu_hat)
 
     if kind is LyapunovKind.E_HNAG:
         ge_x, ge_y = g, mu * dy
@@ -99,7 +148,7 @@ def strong_lyapunov_terms(
         flow_y = (x - y) - g / mu
         lhs = -(float(ge_x @ flow_x) + float(ge_y @ flow_y))
         rhs = (
-            lyapunov(kind, f, x, y)
+            energy
             + beta * float(g @ g)
             + 0.5 * mu * float((x - y) @ (x - y))
         )
@@ -112,30 +161,28 @@ def strong_lyapunov_terms(
         flow_y = (x - y) - g / mu
         lhs = -(float(ge_x @ flow_x) + float(ge_y @ flow_y))
         rhs = (
-            2.0 * lyapunov(kind, f, x, y)
+            2.0 * energy
             + beta * float(gsh @ gsh)
             + beta * mu * float(gsh @ dx)
         )
         return float(lhs), float(rhs)
 
-    if kind is LyapunovKind.E_PARTIAL:
-        if not 0.0 <= mu_hat <= mu:
-            raise ValueError(f"mu_hat must lie in [0, mu]; got {mu_hat}")
-        gsh = g - mu_hat * dx
-        ge_x, ge_y = gsh, mu * dy
-        flow_x = (y - x) - beta * g
-        flow_y = (x - y) - g / mu
-        lhs = -(float(ge_x @ flow_x) + float(ge_y @ flow_y))
-        root = np.sqrt((mu - mu_hat) / mu)
-        rhs = (
-            (2.0 - root) * lyapunov(kind, f, x, y, mu_hat)
-            + (1.0 - root) * bregman_asymmetry(f, x, xstar)
-            + beta * float(gsh @ gsh)
-            + beta * mu_hat * float(gsh @ dx)
-        )
-        return float(lhs), float(rhs)
-
-    raise ValueError(f"unknown Lyapunov kind {kind!r}")
+    # E_PARTIAL; D_f(x*, x) - D_f(x, x*) as ``bregman_asymmetry`` forms it
+    gsh = g - mu_hat * dx
+    ge_x, ge_y = gsh, mu * dy
+    flow_x = (y - x) - beta * g
+    flow_y = (x - y) - g / mu
+    lhs = -(float(ge_x @ flow_x) + float(ge_y @ flow_y))
+    root = np.sqrt((mu - mu_hat) / mu)
+    asymmetry = ((a.fstar - fx - float(g @ (xstar - x)))
+                 - _shifted_bregman(fx, dx, a, 0.0))
+    rhs = (
+        (2.0 - root) * energy
+        + (1.0 - root) * asymmetry
+        + beta * float(gsh @ gsh)
+        + beta * mu_hat * float(gsh @ dx)
+    )
+    return float(lhs), float(rhs)
 
 
 def strong_lyapunov_residual(
@@ -151,17 +198,108 @@ def strong_lyapunov_residual(
     return lhs - rhs
 
 
+def _write_residual_csv(stream: IO[str], k, lhs, rhs, residuals) -> None:
+    stream.write("k,lhs,rhs,residual\n")
+    for i in range(len(k)):
+        stream.write(
+            f"{int(k[i])},{float(lhs[i])!r},"
+            f"{float(rhs[i])!r},{float(residuals[i])!r}\n"
+        )
+
+
+@dataclass
+class SweepReport:
+    """Dissipation check lhs_k >= rhs_k of one energy at sampled states.
+
+    The margin of a state is its residual lhs - rhs plus a roundoff allowance
+    1e-12 (1 + |lhs|); the sweep passes when the worst margin is nonnegative.
+    A NaN margin is the worst, so a state the oracle cannot evaluate fails.
+    """
+
+    k: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    residuals: np.ndarray
+    worst_margin: float
+    worst_k: int
+
+    def passes(self) -> bool:
+        return bool(self.worst_margin >= 0.0)
+
+    def write_csv(self, stream: IO[str]) -> None:
+        _write_residual_csv(stream, self.k, self.lhs, self.rhs, self.residuals)
+
+
+def strong_lyapunov_sweep(
+    kind: LyapunovKind,
+    f: ObjectiveLike,
+    beta: float,
+    rng: Rng,
+    states: int,
+    scales: Sequence[float],
+    mu_hat: float = 0.0,
+) -> SweepReport:
+    """Check the dissipation inequality at ``states`` random states.
+
+    State i draws x = x* + s z and then y = x* + s z' from ``rng`` with
+    standard-normal z, z' and s = scales[i % len(scales)].  x* is anchored
+    once, so each state costs one ``value_and_gradient`` call.
+    """
+    if states < 1:
+        raise ValueError(f"states must be >= 1, got {states}")
+    a = minimizer_anchor(f)
+    lhs = np.empty(states)
+    rhs = np.empty(states)
+    for i in range(states):
+        scale = scales[i % len(scales)]
+        x = a.xstar + scale * rng.standard_normal(f.dim)
+        y = a.xstar + scale * rng.standard_normal(f.dim)
+        lhs[i], rhs[i] = strong_lyapunov_terms(kind, f, x, y, beta, mu_hat, anchor=a)
+    residuals = lhs - rhs
+    margins = residuals + 1e-12 * (1.0 + np.abs(lhs))
+    # the first smallest margin, or the first NaN, which then fails the sweep
+    worst = int(np.argmin(margins))
+    return SweepReport(
+        k=np.arange(states, dtype=np.int64),
+        lhs=lhs,
+        rhs=rhs,
+        residuals=residuals,
+        worst_margin=float(margins[worst]),
+        worst_k=worst,
+    )
+
+
 class ContractionTheorem(enum.Enum):
     THM_HNAG_FUNCVAL = "thm_hnag_funcval"
     THM_HNAG_PLUS = "thm_hnag_plus"
     PROP_QUADRATIC = "prop_quadratic"
 
 
-_THEOREM_METHOD = {
-    ContractionTheorem.THM_HNAG_FUNCVAL: MethodKind.HNAG,
-    ContractionTheorem.THM_HNAG_PLUS: MethodKind.HNAG_PLUS,
-    ContractionTheorem.PROP_QUADRATIC: MethodKind.HNAG,
+# The diagnose checks by name: what each certifies, and the one method whose
+# traces (theorems) or flow (dissipation sweeps) it applies to.
+CHECKS: dict[str, tuple[ContractionTheorem | LyapunovKind, MethodKind]] = {
+    "thm_hnag_funcval": (ContractionTheorem.THM_HNAG_FUNCVAL, MethodKind.HNAG),
+    "thm_hnag_plus": (ContractionTheorem.THM_HNAG_PLUS, MethodKind.HNAG_PLUS),
+    "prop_quadratic": (ContractionTheorem.PROP_QUADRATIC, MethodKind.HNAG),
+    "strong_hnag": (LyapunovKind.E_HNAG, MethodKind.HNAG),
+    "strong_hnag_plus": (LyapunovKind.E_HNAG_PLUS, MethodKind.HNAG_PLUS),
+    "strong_partial": (LyapunovKind.E_PARTIAL, MethodKind.HNAG),
 }
+_CHECK_METHOD = {target: method for target, method in CHECKS.values()}
+
+
+def check_method(check: str, method: Optional[str] = None) -> MethodKind:
+    """The method a named check applies to; ``method``, if given, must resolve to it."""
+    required = CHECKS[check][1]
+    if method is not None and parse_method(method) is not required:
+        raise ValueError(f"{check} applies to method '{required.value}', not '{method}'")
+    return required
+
+
+def flow_beta(kind: LyapunovKind, f: ObjectiveLike) -> float:
+    """Hessian-damping coefficient beta = alpha_beta / alpha of kind's method."""
+    params = make_params(_CHECK_METHOD[kind], f.mu, f.lipschitz)
+    return params.alpha_beta / params.alpha
 
 
 @dataclass
@@ -187,19 +325,14 @@ class ContractionReport:
         return self.max_violation <= rel_tol * self.initial_energy
 
     def write_csv(self, stream: IO[str]) -> None:
-        stream.write("k,lhs,rhs,residual\n")
-        for i in range(len(self.k)):
-            stream.write(
-                f"{int(self.k[i])},{float(self.lhs[i])!r},"
-                f"{float(self.rhs[i])!r},{float(self.residuals[i])!r}\n"
-            )
+        _write_residual_csv(stream, self.k, self.lhs, self.rhs, self.residuals)
 
 
 def contraction_residuals(
     theorem: ContractionTheorem, trace: Trace, f: ObjectiveLike
 ) -> ContractionReport:
     """Check one theorem's per-iteration contraction along a recorded trace."""
-    expected = _THEOREM_METHOD[theorem]
+    expected = _CHECK_METHOD[theorem]
     if trace.method is not expected:
         raise ValueError(
             f"{theorem.value} applies to {expected.value} traces, "

@@ -25,6 +25,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
 class Rng:
@@ -44,13 +45,20 @@ class Rng:
         self._state = np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)
 
     def _raw(self, n: int) -> np.ndarray:
-        # uint64 arithmetic wraps mod 2^64 by design; silence numpy's warning
+        # uint64 arithmetic wraps mod 2^64 by design; silence numpy's warning.
+        # In place, one scratch buffer: z = state + k * gamma, then the three
+        # xor-shift-multiply rounds of the mix.
         with np.errstate(over="ignore"):
-            z = self._state + np.arange(1, n + 1, dtype=np.uint64) * _GAMMA
+            z = np.arange(1, n + 1, dtype=np.uint64)
+            z *= _GAMMA
+            z += self._state
             self._state = np.uint64(self._state + np.uint64(n) * _GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * _MIX1
-            z = (z ^ (z >> np.uint64(27))) * _MIX2
-            z = z ^ (z >> np.uint64(31))
+            t = np.right_shift(z, _S30)
+            z ^= t
+            z *= _MIX1
+            z ^= np.right_shift(z, _S27, out=t)
+            z *= _MIX2
+            z ^= np.right_shift(z, _S31, out=t)
         return z
 
     def uniform(self, size=None) -> np.ndarray | float:
@@ -58,7 +66,10 @@ class Rng:
             return float(self._raw(1)[0] >> np.uint64(11)) * _U53
         shape = (size,) if np.isscalar(size) else tuple(size)
         n = int(np.prod(shape))
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _U53
+        z = self._raw(n)
+        z >>= _S11
+        # the top 53 bits convert to float64 exactly, and the scale is a power of 2
+        u = np.multiply(z, _U53, dtype=np.float64)
         return u.reshape(shape)
 
     def standard_normal(self, size=None) -> np.ndarray | float:
@@ -67,12 +78,20 @@ class Rng:
         shape = (size,) if np.isscalar(size) else tuple(size)
         n = int(np.prod(shape))
         m = (n + 1) // 2
-        u = self.uniform(2 * m)
-        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        theta = 2.0 * np.pi * u[1::2]
-        z = np.empty(2 * m)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
+        z = self.uniform(2 * m)
+        # r = sqrt(-2 ln(1 - u1)), theta = 2 pi u2, z = (r cos theta, r sin theta);
+        # the transcendental ufuncs see contiguous operands, as they always have
+        r = np.negative(z[0::2])
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = z[1::2] * (2.0 * np.pi)
+        trig = np.cos(theta)
+        trig *= r
+        z[0::2] = trig
+        np.sin(theta, out=trig)
+        trig *= r
+        z[1::2] = trig
         return z[:n].reshape(shape)
 
     def signs(self, size=None) -> np.ndarray | float:

@@ -1,10 +1,19 @@
 """Shared test objects: bespoke quadratics, a quartic, counting wrappers,
-and the allocating reference step and solve loop."""
+the allocating reference step and solve loop, and the reference energies and
+dissipation terms evaluated through ``bregman`` and ``ShiftedObjective``."""
 
 import numpy as np
 import scipy.sparse as sp
 
-from agmx import MethodKind, QuadraticObjective, SimpleObjective
+from agmx import (
+    LyapunovKind,
+    MethodKind,
+    QuadraticObjective,
+    ShiftedObjective,
+    SimpleObjective,
+    bregman,
+    bregman_asymmetry,
+)
 from agmx.solvers import HNAG_FAMILY, DivergenceError, SolverState, make_params
 
 
@@ -66,6 +75,20 @@ class CountingObjective:
         return self.value(x), self.gradient(x)
 
 
+def count_calls_at_class(monkeypatch, cls, ops=("value", "gradient", "value_and_gradient")):
+    """Count calls of ``cls``'s oracle methods, the way the benchmark counts them."""
+    calls = dict.fromkeys(ops, 0)
+    for op in ops:
+        original = getattr(cls, op)
+
+        def counted(obj, x, op=op, original=original):
+            calls[op] += 1
+            return original(obj, x)
+
+        monkeypatch.setattr(cls, op, counted)
+    return calls
+
+
 def splitmix64_reference(seed, count):
     """Pure-python SplitMix64 uniforms, independent of the numpy implementation."""
     mask = (1 << 64) - 1
@@ -77,6 +100,67 @@ def splitmix64_reference(seed, count):
         z = z ^ (z >> 31)
         out.append((z >> 11) * 2.0**-53)
     return np.array(out)
+
+
+def reference_standard_normal(seed, count):
+    """Box-Muller over ``splitmix64_reference`` uniforms, as separate array
+    expressions: r = sqrt(-2 ln(1 - u1)), theta = 2 pi u2, pairs (cos, sin)."""
+    m = (count + 1) // 2
+    u = splitmix64_reference(seed, 2 * m)
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    theta = 2.0 * np.pi * u[1::2]
+    z = np.empty(2 * m)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return z[:count]
+
+
+def reference_lyapunov(kind, f, x, y, mu_hat=0.0):
+    """The energy with every Bregman term evaluated by ``bregman`` itself."""
+    xstar = np.asarray(f.minimizer, dtype=np.float64)
+    mu = f.mu
+    dy = y - xstar
+    if kind is LyapunovKind.E_HNAG:
+        return bregman(f, x, xstar) + 0.5 * mu * float(dy @ dy)
+    if kind is LyapunovKind.E_HNAG_PLUS:
+        shifted = ShiftedObjective(f, mu, xstar)
+        return bregman(shifted, x, xstar) + mu * float(dy @ dy)
+    shifted = ShiftedObjective(f, mu_hat, xstar)
+    return bregman(shifted, x, xstar) + 0.5 * mu * float(dy @ dy)
+
+
+def reference_strong_lyapunov_terms(kind, f, x, y, beta, mu_hat=0.0):
+    """(lhs, rhs) of the dissipation inequality with every oracle value
+    recomputed where it is used: four calls per state, ten for E_PARTIAL."""
+    xstar = np.asarray(f.minimizer, dtype=np.float64)
+    mu = f.mu
+    g = f.gradient(x)
+    dx = x - xstar
+    dy = y - xstar
+    if kind is LyapunovKind.E_HNAG:
+        flow_x = (y - x) - beta * g
+        flow_y = (x - y) - g / mu
+        lhs = -(float(g @ flow_x) + float((mu * dy) @ flow_y))
+        rhs = (reference_lyapunov(kind, f, x, y) + beta * float(g @ g)
+               + 0.5 * mu * float((x - y) @ (x - y)))
+        return float(lhs), float(rhs)
+    if kind is LyapunovKind.E_HNAG_PLUS:
+        gsh = g - mu * dx
+        flow_x = 2.0 * (y - x) - beta * g
+        flow_y = (x - y) - g / mu
+        lhs = -(float(gsh @ flow_x) + float((2.0 * mu * dy) @ flow_y))
+        rhs = (2.0 * reference_lyapunov(kind, f, x, y) + beta * float(gsh @ gsh)
+               + beta * mu * float(gsh @ dx))
+        return float(lhs), float(rhs)
+    gsh = g - mu_hat * dx
+    flow_x = (y - x) - beta * g
+    flow_y = (x - y) - g / mu
+    lhs = -(float(gsh @ flow_x) + float((mu * dy) @ flow_y))
+    root = np.sqrt((mu - mu_hat) / mu)
+    rhs = ((2.0 - root) * reference_lyapunov(kind, f, x, y, mu_hat)
+           + (1.0 - root) * bregman_asymmetry(f, x, xstar)
+           + beta * float(gsh @ gsh) + beta * mu_hat * float(gsh @ dx))
+    return float(lhs), float(rhs)
 
 
 def reference_step(method, state, f, params):

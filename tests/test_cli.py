@@ -193,6 +193,33 @@ class TestDiagnose:
         assert out.read_text().splitlines()[0] == "k,lhs,rhs,residual"
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
+    @pytest.mark.parametrize("states", ["0", "-3"])
+    def test_sweep_needs_a_state(self, states, capsys):
+        rc = run_cli(["diagnose", *LAP9, "--check", "strong_hnag", "--states", states])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --states must be >= 1, got {states}\n"
+
+    def test_sweep_accepts_method_alias(self, capsys):
+        rc = run_cli(["diagnose", *LAP9, "--check", "strong_hnag_plus",
+                      "--method", "hnagplus", "--states", "4"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    @pytest.mark.parametrize("check,method,required", [
+        ("strong_hnag", "nag", "hnag"),
+        ("strong_partial", "hnagplus", "hnag"),
+        ("strong_hnag_plus", "hnag", "hnag_plus"),
+    ])
+    def test_sweep_rejects_other_method(self, check, method, required, capsys):
+        rc = run_cli(["diagnose", *LAP9, "--check", check, "--method", method])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: {check} applies to method '{required}', not '{method}'\n"
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["diagnose", *LAP9, "--check", "prop_quadratic", "--seed", "11"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -5,21 +5,33 @@ import pytest
 
 import agmx
 from agmx import (
+    CHECKS,
     ContractionTheorem,
     LyapunovKind,
     MethodKind,
     SolverConfig,
     asymmetry_bound_check,
+    check_method,
     contraction_residuals,
+    flow_beta,
     lyapunov,
+    minimizer_anchor,
     shift_schedule,
     solve,
     strong_lyapunov_residual,
+    strong_lyapunov_sweep,
     strong_lyapunov_terms,
 )
 from agmx.core import MinimizerUnknownError, ShiftedObjective
 
-from _helpers import diagonal_quadratic, simple_1d_quadratic
+from _helpers import (
+    CountingObjective,
+    count_calls_at_class,
+    diagonal_quadratic,
+    reference_lyapunov,
+    reference_strong_lyapunov_terms,
+    simple_1d_quadratic,
+)
 
 ALL_KINDS = list(LyapunovKind)
 
@@ -130,6 +142,127 @@ class TestStrongLyapunov:
         with pytest.raises(ValueError):
             strong_lyapunov_residual(LyapunovKind.E_HNAG, lap9,
                                      np.zeros(81), np.zeros(81), beta=0.0)
+
+
+SCALES = (1e-3, 1e-1, 1.0, 10.0)
+
+
+class TestSharedAnchor:
+    """The anchored, one-oracle-call evaluation reproduces the definitions
+    evaluated through ``bregman`` and ``ShiftedObjective`` bit for bit."""
+
+    @pytest.mark.parametrize("name", ["laplacian2d", "piecewise", "logistic"])
+    @pytest.mark.parametrize("mu_hat_frac", [0.0, 0.5, 1.0])
+    def test_terms_equal_reference(self, problem_trio, name, mu_hat_frac):
+        f = problem_trio[name]
+        mu_hat = mu_hat_frac * f.mu
+        anchor = minimizer_anchor(f)
+        rng = agmx.Rng(11)
+        for scale in SCALES:
+            for _ in range(2):
+                x = f.minimizer + scale * rng.standard_normal(f.dim)
+                y = f.minimizer + scale * rng.standard_normal(f.dim)
+                for kind in ALL_KINDS:
+                    beta = flow_beta(kind, f)
+                    want = reference_strong_lyapunov_terms(kind, f, x, y, beta, mu_hat)
+                    assert strong_lyapunov_terms(kind, f, x, y, beta, mu_hat) == want
+                    assert strong_lyapunov_terms(kind, f, x, y, beta, mu_hat,
+                                                 anchor=anchor) == want
+                    assert lyapunov(kind, f, x, y, mu_hat) == \
+                        reference_lyapunov(kind, f, x, y, mu_hat)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_sweep_equals_reference_loop(self, lap19, kind):
+        f, mu_hat, beta = lap19, 0.5 * lap19.mu, flow_beta(kind, lap19)
+        rep = strong_lyapunov_sweep(kind, f, beta, agmx.Rng(3), 10, SCALES, mu_hat)
+        rng = agmx.Rng(3)
+        margins = []
+        for i in range(10):
+            x = f.minimizer + SCALES[i % 4] * rng.standard_normal(f.dim)
+            y = f.minimizer + SCALES[i % 4] * rng.standard_normal(f.dim)
+            lhs, rhs = reference_strong_lyapunov_terms(kind, f, x, y, beta, mu_hat)
+            assert (rep.lhs[i], rep.rhs[i], rep.residuals[i]) == (lhs, rhs, lhs - rhs)
+            margins.append((lhs - rhs) + 1e-12 * (1.0 + abs(lhs)))
+        assert rep.k.tolist() == list(range(10))
+        assert rep.worst_margin == min(margins)
+        assert rep.worst_k == int(np.argmin(margins))
+        assert rep.passes()
+
+    def test_sweep_makes_one_oracle_call_per_state(self, lap9, monkeypatch):
+        calls = count_calls_at_class(monkeypatch, agmx.QuadraticObjective)
+        rep = strong_lyapunov_sweep(LyapunovKind.E_PARTIAL, lap9, 1.0 / lap9.lipschitz,
+                                    agmx.Rng(1), 100, SCALES, 0.5 * lap9.mu)
+        assert len(rep.k) == 100
+        # 100 states plus the anchor at x*; the quadratic's value_and_gradient
+        # makes its one gradient call and reads the value off it
+        assert calls == {"value": 0, "gradient": 101, "value_and_gradient": 101}
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_generic_objective_pays_one_value_and_one_gradient(self, lap9, kind):
+        f = CountingObjective(lap9)
+        strong_lyapunov_sweep(kind, f, flow_beta(kind, f), agmx.Rng(1), 20, SCALES,
+                              0.5 * f.mu)
+        assert (f.value_calls, f.grad_calls) == (21, 21)
+
+    def test_single_state_call_anchors_itself(self, lap9, monkeypatch):
+        calls = count_calls_at_class(monkeypatch, agmx.QuadraticObjective)
+        x = agmx.Rng(2).standard_normal(lap9.dim)
+        strong_lyapunov_terms(LyapunovKind.E_PARTIAL, lap9, x, x, 1.0, 0.5 * lap9.mu)
+        assert calls["value_and_gradient"] == 2 and calls["value"] == 0
+
+    @pytest.mark.parametrize("states", [0, -3])
+    def test_sweep_needs_a_state(self, lap9, states):
+        with pytest.raises(ValueError, match="states"):
+            strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap9, 1.0, agmx.Rng(1),
+                                  states, SCALES)
+
+    def test_nan_state_fails_the_sweep(self):
+        # a NaN margin used to be skipped, so an unevaluable sweep passed
+        calls = {"n": 0}
+
+        def grad(x):
+            calls["n"] += 1
+            return np.full_like(x, np.nan) if calls["n"] == 4 else x.copy()
+
+        f = agmx.SimpleObjective(lambda x: 0.5 * float(x @ x), grad, dim=3, mu=1.0,
+                                 lipschitz=1.0, minimizer=np.zeros(3))
+        rep = strong_lyapunov_sweep(LyapunovKind.E_HNAG, f, 1.0, agmx.Rng(1), 5, SCALES)
+        assert rep.worst_k == 2          # the anchor takes the first gradient
+        assert np.isnan(rep.worst_margin)
+        assert not rep.passes()
+
+    def test_sweep_csv(self, lap9):
+        rep = strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap9, 1.0, agmx.Rng(1), 3, SCALES)
+        buf = io.StringIO()
+        rep.write_csv(buf)
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == "k,lhs,rhs,residual"
+        lhs, rhs, res = (float(v[0]) for v in (rep.lhs, rep.rhs, rep.residuals))
+        assert lines[1] == f"0,{lhs!r},{rhs!r},{res!r}"
+        assert len(lines) == 4
+
+
+class TestCheckMethods:
+    def test_every_check_has_one_method(self):
+        assert set(CHECKS) == {t.value for t in ContractionTheorem} | {
+            "strong_hnag", "strong_hnag_plus", "strong_partial"}
+        targets = [t for t, _ in CHECKS.values()]
+        assert set(targets) == set(ContractionTheorem) | set(LyapunovKind)
+        for check, (_, method) in CHECKS.items():
+            assert check_method(check) is method
+            assert check_method(check, method.value) is method
+
+    def test_alias_accepted_and_mismatch_rejected(self):
+        assert check_method("strong_hnag_plus", "hnagplus") is MethodKind.HNAG_PLUS
+        assert check_method("strong_hnag", "HNAGPP") is MethodKind.HNAG
+        with pytest.raises(ValueError, match="strong_hnag applies to method 'hnag', not 'nag'"):
+            check_method("strong_hnag", "nag")
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_flow_beta(self, lap9, kind):
+        method = MethodKind.HNAG_PLUS if kind is LyapunovKind.E_HNAG_PLUS else MethodKind.HNAG
+        p = agmx.make_params(method, lap9.mu, lap9.lipschitz)
+        assert flow_beta(kind, lap9) == p.alpha_beta / p.alpha
 
 
 class TestTraceEnergyColumns:

@@ -16,6 +16,7 @@ from agmx.solvers import (
 
 from _helpers import (
     CountingObjective,
+    count_calls_at_class,
     diagonal_quadratic,
     reference_solve,
     reference_step,
@@ -406,16 +407,8 @@ class TestCountingAndAliasing:
         MethodKind.GD, MethodKind.NAG, MethodKind.TM, MethodKind.HNAG,
         MethodKind.HNAG_PLUS])
     def test_quadratic_solve_makes_one_value_call(self, method, lap19, monkeypatch):
-        # counted at the class, the way the benchmark counts oracle work
-        calls = {"value": 0, "gradient": 0}
-        for op in calls:
-            original = getattr(agmx.QuadraticObjective, op)
-
-            def counted(obj, x, op=op, original=original):
-                calls[op] += 1
-                return original(obj, x)
-
-            monkeypatch.setattr(agmx.QuadraticObjective, op, counted)
+        calls = count_calls_at_class(monkeypatch, agmx.QuadraticObjective,
+                                     ("value", "gradient"))
         tr = solve(lap19, SolverConfig(method=method), agmx.Rng(42).uniform(lap19.dim))
         assert calls["value"] == 1          # f(x*) only
         per_step = 2 if method in (MethodKind.NAG, MethodKind.TM) else 1
