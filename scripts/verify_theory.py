@@ -49,14 +49,14 @@ def main() -> int:
         for theorem in (ContractionTheorem.THM_HNAG_FUNCVAL, ContractionTheorem.THM_HNAG_PLUS):
             trace = solve(f, SolverConfig(method=check_method(theorem.value)), x0)
             rep = contraction_residuals(theorem, trace, f)
-            report(rep.passes(1e-10), f"{theorem.value} on {name}",
+            report(rep.passes(), f"{theorem.value} on {name}",
                    f"{trace.iterations} iters, "
                    f"viol/E0={rep.max_violation / rep.initial_energy:.2e}")
         if name.startswith("laplacian"):
             method = check_method(ContractionTheorem.PROP_QUADRATIC.value)
             trace = solve(f, SolverConfig(method=method), x0)
             rep = contraction_residuals(ContractionTheorem.PROP_QUADRATIC, trace, f)
-            report(rep.passes(1e-10), f"prop_quadratic on {name}",
+            report(rep.passes(), f"prop_quadratic on {name}",
                    f"viol/E0={rep.max_violation / rep.initial_energy:.2e}")
 
     sweeps = [

@@ -15,6 +15,7 @@ from .solvers import (
     DivergenceError,
     MethodKind,
     SolverConfig,
+    Trace,
     solve,
 )
 
@@ -41,6 +42,8 @@ def find_minimizer(
     x = np.zeros(f.dim)
     y = x.copy()
     g0 = np.linalg.norm(f.gradient(x))
+    if not np.isfinite(g0):
+        raise OracleError(f"minimizer oracle: ||grad f(0)|| is {g0}, not finite")
     if g0 == 0.0:
         return x
     for _ in range(max_iter):
@@ -112,6 +115,16 @@ def estimate_rate(
     )
 
 
+def measured_rate(trace: Trace) -> float:
+    """Fitted decay rate of ||y_k - x*||^2 for the Hessian-driven family and
+    of ||x_k - x*||^2 otherwise; NaN when the trace is too short to fit."""
+    series = trace.y_err_sq if trace.method in HNAG_FAMILY else trace.x_err_sq
+    try:
+        return estimate_rate(series, metric="err_sq").rate
+    except RateFitError:
+        return float("nan")
+
+
 class RateRegime(enum.Enum):
     GENERAL = "general"
     QUADRATIC_OR_ASYMPTOTIC = "quadratic_or_asymptotic"
@@ -128,6 +141,8 @@ def theoretical_rate(
     """
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
     root = float(np.sqrt(kappa))
     if method is MethodKind.GD:
         return max(0.0, 1.0 - 2.0 / kappa)
@@ -164,37 +179,25 @@ def compare(
 ) -> list[ComparisonRow]:
     """Run each method from the same start under the same stopping rule.
 
-    The measured rate is fitted on ||y_k - x*||^2 for the Hessian-driven
-    family and on ||x_k - x*||^2 otherwise.  A diverging method yields a row
-    flagged 'diverged' instead of aborting the batch.
+    The measured rate is ``measured_rate`` of each trace.  A diverging method
+    yields a row flagged 'diverged' instead of aborting the batch.
     """
     kappa = f.lipschitz / f.mu
     rows = []
     for method in methods:
-        cfg = replace(config, method=method)
         t0 = time.perf_counter()
         try:
-            trace = solve(f, cfg, x0)
+            trace = solve(f, replace(config, method=method), x0)
         except DivergenceError as err:
-            rows.append(ComparisonRow(
-                method=method, kappa=kappa, iterations=err.iteration,
-                runtime_seconds=time.perf_counter() - t0,
-                measured_rate=float("nan"),
-                theoretical_rate=theoretical_rate(method, kappa, regime),
-                status="diverged",
-            ))
-            continue
+            trace, diverged_at = None, err.iteration
         elapsed = time.perf_counter() - t0
-        series = trace.y_err_sq if method in HNAG_FAMILY else trace.x_err_sq
-        try:
-            measured = estimate_rate(series, metric="err_sq").rate
-        except RateFitError:
-            measured = float("nan")
         rows.append(ComparisonRow(
-            method=method, kappa=kappa, iterations=trace.iterations,
-            runtime_seconds=elapsed, measured_rate=measured,
+            method=method, kappa=kappa,
+            iterations=diverged_at if trace is None else trace.iterations,
+            runtime_seconds=elapsed,
+            measured_rate=float("nan") if trace is None else measured_rate(trace),
             theoretical_rate=theoretical_rate(method, kappa, regime),
-            status=trace.status.value,
+            status="diverged" if trace is None else trace.status.value,
         ))
     return rows
 

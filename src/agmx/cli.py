@@ -41,6 +41,10 @@ _USAGE_ERROR = 1
 _NOT_CONVERGED = 2
 _DIVERGED = 3
 
+# --regime values and the rate regime each selects
+_REGIMES = {"general": RateRegime.GENERAL,
+            "asymptotic": RateRegime.QUADRATIC_OR_ASYMPTOTIC}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 on usage errors (default would be 2)."""
@@ -52,8 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--problem", choices=["laplacian2d", "piecewise", "logistic"],
-                        default="laplacian2d")
+    parser.add_argument("--problem", choices=list(problems.BUILDERS), default="laplacian2d")
     parser.add_argument("--n", type=int, default=39, help="laplacian2d grid parameter")
     parser.add_argument("--d", type=int, default=None, help="ambient dimension")
     parser.add_argument("--p", type=int, default=5, help="piecewise component count")
@@ -76,13 +79,13 @@ def build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="run one method and write its trace")
     _add_common(p_run)
     p_run.add_argument("--method", type=str, required=True)
-    p_run.add_argument("--regime", choices=["general", "asymptotic"], default="general")
 
     p_cmp = sub.add_parser("compare", help="run several methods from the same start")
     _add_common(p_cmp)
     p_cmp.add_argument("--methods", type=str, required=True,
                        help="comma-separated list, e.g. gd,nag,tm,hnagpp")
-    p_cmp.add_argument("--regime", choices=["general", "asymptotic"], default="general")
+    for p in (p_run, p_cmp):
+        p.add_argument("--regime", choices=list(_REGIMES), default="general")
 
     p_diag = sub.add_parser("diagnose", help="verify a contraction theorem or sweep")
     _add_common(p_diag)
@@ -128,12 +131,17 @@ def _build_problem(args: argparse.Namespace, seed: int):
     )
 
 
-def _open_out(path: Optional[str]) -> IO[str]:
-    return open(path, "w") if path else sys.stdout
+def _write_out(path: Optional[str], text: str) -> None:
+    """Write text to the --out file, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as stream:
+        stream.write(text)
 
 
 def _json_float(x: float) -> Optional[float]:
-    return None if (x is None or math.isnan(x)) else float(x)
+    return None if math.isnan(x) else float(x)
 
 
 def _write_trace_csv(trace: solvers.Trace, stream: IO[str]) -> None:
@@ -154,21 +162,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     trace = solvers.solve(f, config, x0)
     with open(args.out, "w") as stream:
         _write_trace_csv(trace, stream)
-    series = trace.y_err_sq if method in solvers.HNAG_FAMILY else trace.x_err_sq
-    try:
-        measured = analysis.estimate_rate(series, metric="err_sq").rate
-    except analysis.RateFitError:
-        measured = float("nan")
-    regime = (RateRegime.QUADRATIC_OR_ASYMPTOTIC if args.regime == "asymptotic"
-              else RateRegime.GENERAL)
     kappa = float(f.lipschitz / f.mu)
     summary = {
         "method": method.value,
         "kappa": kappa,
         "iterations": trace.iterations,
         "status": trace.status.value,
-        "measured_rate": _json_float(measured),
-        "theoretical_rate": analysis.theoretical_rate(method, kappa, regime),
+        "measured_rate": _json_float(analysis.measured_rate(trace)),
+        "theoretical_rate": analysis.theoretical_rate(method, kappa, _REGIMES[args.regime]),
     }
     print(json.dumps(summary))
     return 0 if trace.status is TerminalStatus.CONVERGED else _NOT_CONVERGED
@@ -178,32 +179,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     seed = _seed_of(args)
     names = [s for s in args.methods.split(",") if s.strip()]
     if len(names) < 2:
-        sys.stderr.write("error: compare needs at least 2 methods\n")
-        return _USAGE_ERROR
+        raise ValueError("compare needs at least 2 methods")
     methods = [solvers.parse_method(s) for s in names]
     f = analysis.ensure_minimizer(_build_problem(args, seed))
     x0 = problems.Rng(seed).uniform(f.dim)
     config = SolverConfig(method=methods[0], tol_rel_grad=args.tol,
                           max_iter=args.max_iter)
-    regime = (RateRegime.QUADRATIC_OR_ASYMPTOTIC if args.regime == "asymptotic"
-              else RateRegime.GENERAL)
-    rows = analysis.compare(f, methods, config, x0, regime=regime)
-    stream = _open_out(args.out)
-    try:
-        if args.format == "json":
-            payload = [{
-                "method": r.method.value, "kappa": float(r.kappa),
-                "iterations": int(r.iterations),
-                "runtime_s": float(r.runtime_seconds),
-                "measured_rate": _json_float(r.measured_rate),
-                "theoretical_rate": float(r.theoretical_rate),
-            } for r in rows]
-            stream.write(json.dumps(payload) + "\n")
-        else:
-            stream.write(analysis.rows_to_csv(rows))
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    rows = analysis.compare(f, methods, config, x0, regime=_REGIMES[args.regime])
+    if args.format == "json":
+        _write_out(args.out, json.dumps([{
+            "method": r.method.value, "kappa": float(r.kappa),
+            "iterations": int(r.iterations),
+            "runtime_s": float(r.runtime_seconds),
+            "measured_rate": _json_float(r.measured_rate),
+            "theoretical_rate": float(r.theoretical_rate),
+        } for r in rows]) + "\n")
+    else:
+        _write_out(args.out, analysis.rows_to_csv(rows))
     all_converged = all(r.status == TerminalStatus.CONVERGED.value for r in rows)
     return 0 if all_converged else _NOT_CONVERGED
 
@@ -215,77 +207,63 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     seed = _seed_of(args)
     check = args.check.strip().lower()
     if check not in CHECKS:
-        sys.stderr.write(f"error: unknown check '{args.check}'\n")
-        return _USAGE_ERROR
+        raise ValueError(f"unknown check '{args.check}'")
     if args.states < 1:
         raise ValueError(f"--states must be >= 1, got {args.states}")
     target = CHECKS[check][0]
     method = check_method(check, args.method)
     if target is ContractionTheorem.PROP_QUADRATIC and args.problem != "laplacian2d":
-        sys.stderr.write("error: prop_quadratic needs a quadratic problem "
-                         "(laplacian2d)\n")
-        return _USAGE_ERROR
+        raise ValueError("prop_quadratic needs a quadratic problem (laplacian2d)")
     f = analysis.ensure_minimizer(_build_problem(args, seed))
 
     if isinstance(target, ContractionTheorem):
         x0 = problems.Rng(seed).uniform(f.dim)
         config = SolverConfig(method=method, tol_rel_grad=args.tol,
-                              max_iter=args.max_iter, record_lyapunov=True)
+                              max_iter=args.max_iter)
         trace = solvers.solve(f, config, x0)
         report = contraction_residuals(target, trace, f)
-        if args.out:
-            with open(args.out, "w") as stream:
-                report.write_csv(stream)
         ok = report.passes()
-        print(json.dumps({
+        summary = {
             "check": check,
             "iterations": trace.iterations,
             "max_violation": report.max_violation,
-            "tolerance": 1e-10 * report.initial_energy,
+            "tolerance": report.tolerance,
             "violated_step": None if ok else int(report.argmax_k),
             "pass": ok,
-        }))
-        return 0 if ok else _NOT_CONVERGED
-
-    mu_hat = args.mu_hat_frac * f.mu if target is LyapunovKind.E_PARTIAL else 0.0
-    sweep = strong_lyapunov_sweep(target, f, flow_beta(target, f), problems.Rng(seed + 1),
-                                  args.states, _SWEEP_SCALES, mu_hat)
+        }
+    else:
+        mu_hat = args.mu_hat_frac * f.mu if target is LyapunovKind.E_PARTIAL else 0.0
+        report = strong_lyapunov_sweep(target, f, flow_beta(target, f),
+                                       problems.Rng(seed + 1), args.states,
+                                       _SWEEP_SCALES, mu_hat)
+        ok = report.passes()
+        summary = {
+            "check": check, "states": args.states,
+            "worst_margin": _json_float(report.worst_margin),
+            "violated_state": None if ok else report.worst_k,
+            "pass": ok,
+        }
     if args.out:
         with open(args.out, "w") as stream:
-            sweep.write_csv(stream)
-    ok = sweep.passes()
-    print(json.dumps({
-        "check": check, "states": args.states,
-        "worst_margin": _json_float(sweep.worst_margin),
-        "violated_state": None if ok else sweep.worst_k,
-        "pass": ok,
-    }))
+            report.write_csv(stream)
+    print(json.dumps(summary))
     return 0 if ok else _NOT_CONVERGED
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     methods = [solvers.parse_method(s) for s in args.methods.split(",") if s.strip()]
     kappas = [float(s) for s in args.kappas.split(",") if s.strip()]
-    rows = [
-        (m.value, k,
-         analysis.theoretical_rate(m, k, RateRegime.GENERAL),
-         analysis.theoretical_rate(m, k, RateRegime.QUADRATIC_OR_ASYMPTOTIC))
-        for m in methods for k in kappas
-    ]
-    stream = _open_out(args.out)
-    try:
-        if args.format == "json":
-            stream.write(json.dumps([
-                {"method": m, "kappa": k, "rate_general": g, "rate_special": s}
-                for m, k, g, s in rows
-            ]) + "\n")
-        else:
-            stream.write("method,kappa,rate_general,rate_special\n")
-            for m, k, g, s in rows:
-                stream.write(f"{m},{k!r},{g!r},{s!r}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    # (method, kappa, general rate, quadratic-or-asymptotic rate)
+    rows = [(m.value, k, *(analysis.theoretical_rate(m, k, r) for r in _REGIMES.values()))
+            for m in methods for k in kappas]
+    if args.format == "json":
+        _write_out(args.out, json.dumps([
+            {"method": m, "kappa": k, "rate_general": g, "rate_special": s}
+            for m, k, g, s in rows
+        ]) + "\n")
+    else:
+        _write_out(args.out, "method,kappa,rate_general,rate_special\n" + "".join(
+            f"{m},{k!r},{g!r},{s!r}\n" for m, k, g, s in rows))
     return 0
 
 

@@ -65,11 +65,6 @@ def minimizer_anchor(f: ObjectiveLike) -> Anchor:
     return Anchor(xstar, fstar, gstar)
 
 
-def _check_mu_hat(mu_hat: float, mu: float) -> None:
-    if not 0.0 <= mu_hat <= mu:
-        raise ValueError(f"mu_hat must lie in [0, mu]; got {mu_hat}")
-
-
 def _shifted_bregman(fx: float, dx: Vector, a: Anchor, shift: float) -> float:
     """D_{f - shift/2 ||. - x*||^2}(x, x*) from f(x) and the anchor.
 
@@ -81,15 +76,22 @@ def _shifted_bregman(fx: float, dx: Vector, a: Anchor, shift: float) -> float:
     return fx_shifted - a.fstar - float(a.gstar @ dx)
 
 
-def _energy(kind: LyapunovKind, fx: float, dx: Vector, dy: Vector, a: Anchor,
-            mu: float, mu_hat: float) -> float:
+def _weights(kind: LyapunovKind, mu: float, mu_hat: float) -> tuple[float, float]:
+    """(shift, y_weight) of kind's energy D_{f - shift}(x, x*) + y_weight ||y - x*||^2."""
     if kind is LyapunovKind.E_HNAG:
-        return _shifted_bregman(fx, dx, a, 0.0) + 0.5 * mu * float(dy @ dy)
+        return 0.0, 0.5 * mu
     if kind is LyapunovKind.E_HNAG_PLUS:
-        return _shifted_bregman(fx, dx, a, mu) + mu * float(dy @ dy)
+        return mu, mu
     if kind is LyapunovKind.E_PARTIAL:
-        return _shifted_bregman(fx, dx, a, mu_hat) + 0.5 * mu * float(dy @ dy)
+        if not 0.0 <= mu_hat <= mu:
+            raise ValueError(f"mu_hat must lie in [0, mu]; got {mu_hat}")
+        return mu_hat, 0.5 * mu
     raise ValueError(f"unknown Lyapunov kind {kind!r}")
+
+
+def _energy(fx: float, dx: Vector, dy: Vector, a: Anchor, shift: float,
+            y_weight: float) -> float:
+    return _shifted_bregman(fx, dx, a, shift) + y_weight * float(dy @ dy)
 
 
 def lyapunov(
@@ -106,9 +108,8 @@ def lyapunov(
     """
     a = minimizer_anchor(f)
     _check_dims(f, x)
-    if kind is LyapunovKind.E_PARTIAL:
-        _check_mu_hat(mu_hat, f.mu)
-    return _energy(kind, f.value(x), x - a.xstar, y - a.xstar, a, f.mu, mu_hat)
+    shift, y_weight = _weights(kind, f.mu, mu_hat)
+    return _energy(f.value(x), x - a.xstar, y - a.xstar, a, shift, y_weight)
 
 
 def strong_lyapunov_terms(
@@ -134,54 +135,33 @@ def strong_lyapunov_terms(
     a = minimizer_anchor(f) if anchor is None else anchor
     _check_dims(f, x)
     mu = f.mu
-    if kind is LyapunovKind.E_PARTIAL:
-        _check_mu_hat(mu_hat, mu)
+    shift, y_weight = _weights(kind, mu, mu_hat)
     fx, g = f.value_and_gradient(x)
     xstar = a.xstar
     dx = x - xstar
     dy = y - xstar
-    energy = _energy(kind, fx, dx, dy, a, mu, mu_hat)
+    energy = _energy(fx, dx, dy, a, shift, y_weight)
+
+    # grad E = (g - shift dx, 2 y_weight dy); the flow is
+    # G = (c (y - x) - beta g, (x - y) - g / mu) with c = 2 for HNAG+, else 1
+    plus = kind is LyapunovKind.E_HNAG_PLUS
+    gsh = g if kind is LyapunovKind.E_HNAG else g - shift * dx
+    flow_x = (2.0 * (y - x) if plus else y - x) - beta * g
+    flow_y = (x - y) - g / mu
+    lhs = -(float(gsh @ flow_x) + float(((2.0 * y_weight) * dy) @ flow_y))
 
     if kind is LyapunovKind.E_HNAG:
-        ge_x, ge_y = g, mu * dy
-        flow_x = (y - x) - beta * g
-        flow_y = (x - y) - g / mu
-        lhs = -(float(ge_x @ flow_x) + float(ge_y @ flow_y))
-        rhs = (
-            energy
-            + beta * float(g @ g)
-            + 0.5 * mu * float((x - y) @ (x - y))
-        )
+        rhs = energy + beta * float(g @ g) + 0.5 * mu * float((x - y) @ (x - y))
         return float(lhs), float(rhs)
-
-    if kind is LyapunovKind.E_HNAG_PLUS:
-        gsh = g - mu * dx
-        ge_x, ge_y = gsh, 2.0 * mu * dy
-        flow_x = 2.0 * (y - x) - beta * g
-        flow_y = (x - y) - g / mu
-        lhs = -(float(ge_x @ flow_x) + float(ge_y @ flow_y))
-        rhs = (
-            2.0 * energy
-            + beta * float(gsh @ gsh)
-            + beta * mu * float(gsh @ dx)
-        )
-        return float(lhs), float(rhs)
-
-    # E_PARTIAL; D_f(x*, x) - D_f(x, x*) as ``bregman_asymmetry`` forms it
-    gsh = g - mu_hat * dx
-    ge_x, ge_y = gsh, mu * dy
-    flow_x = (y - x) - beta * g
-    flow_y = (x - y) - g / mu
-    lhs = -(float(ge_x @ flow_x) + float(ge_y @ flow_y))
-    root = np.sqrt((mu - mu_hat) / mu)
-    asymmetry = ((a.fstar - fx - float(g @ (xstar - x)))
-                 - _shifted_bregman(fx, dx, a, 0.0))
-    rhs = (
-        (2.0 - root) * energy
-        + (1.0 - root) * asymmetry
-        + beta * float(gsh @ gsh)
-        + beta * mu_hat * float(gsh @ dx)
-    )
+    if plus:
+        head = 2.0 * energy
+    else:
+        # E_PARTIAL; D_f(x*, x) - D_f(x, x*) as ``bregman_asymmetry`` forms it
+        root = np.sqrt((mu - mu_hat) / mu)
+        asymmetry = ((a.fstar - fx - float(g @ (xstar - x)))
+                     - _shifted_bregman(fx, dx, a, 0.0))
+        head = (2.0 - root) * energy + (1.0 - root) * asymmetry
+    rhs = head + beta * float(gsh @ gsh) + beta * shift * float(gsh @ dx)
     return float(lhs), float(rhs)
 
 
@@ -308,8 +288,8 @@ class ContractionReport:
 
     lhs_k is the dual-shifted energy after step k+1, rhs_k the contraction
     factor times the energy after step k; positive residuals are violations.
-    ``initial_energy`` scales the pass tolerance (energies span many orders
-    of magnitude over a run).
+    ``initial_energy`` scales the pass ``tolerance`` (energies span many
+    orders of magnitude over a run).
     """
 
     theorem: ContractionTheorem
@@ -321,8 +301,13 @@ class ContractionReport:
     argmax_k: int
     initial_energy: float
 
-    def passes(self, rel_tol: float = 1e-10) -> bool:
-        return self.max_violation <= rel_tol * self.initial_energy
+    @property
+    def tolerance(self) -> float:
+        """The largest violation that passes: 1e-10 of the initial energy."""
+        return 1e-10 * self.initial_energy
+
+    def passes(self) -> bool:
+        return self.max_violation <= self.tolerance
 
     def write_csv(self, stream: IO[str]) -> None:
         _write_residual_csv(stream, self.k, self.lhs, self.rhs, self.residuals)
@@ -344,7 +329,7 @@ def contraction_residuals(
         rate = 1.0 / (1.0 + np.sqrt(2.0 * mu / L))
     else:
         if trace.grad_shifted_sq is None:
-            raise ValueError("trace lacks shifted gradients; solve with record_lyapunov")
+            raise ValueError("trace lacks shifted gradients (grad_shifted_sq)")
         energy = trace.E_shifted - trace.grad_shifted_sq / (2.0 * L)
         if theorem is ContractionTheorem.THM_HNAG_PLUS:
             rate = 1.0 / (1.0 + 2.0 * np.sqrt(mu / L))

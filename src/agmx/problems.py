@@ -212,31 +212,26 @@ def build_laplacian2d(n: int) -> QuadraticObjective:
 # exp(-eps/t) underflows for t < eps/709 (double exponent floor); the
 # analytic limit there is 0, so the cutoff returns it directly.
 
-def piecewise_h(t, eps: float):
+def _on_support(t, eps: float, formula: Callable[[np.ndarray], np.ndarray]):
+    """formula(t) where t > eps/709, and 0 elsewhere."""
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros_like(t)
     m = t > eps / 709.0
-    tm = t[m]
-    out[m] = 0.5 * tm**2 * np.exp(-eps / tm)
+    out[m] = formula(t[m])
     return out
+
+
+def piecewise_h(t, eps: float):
+    return _on_support(t, eps, lambda tm: 0.5 * tm**2 * np.exp(-eps / tm))
 
 
 def piecewise_h_prime(t, eps: float):
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros_like(t)
-    m = t > eps / 709.0
-    tm = t[m]
-    out[m] = np.exp(-eps / tm) * (tm + 0.5 * eps)
-    return out
+    return _on_support(t, eps, lambda tm: np.exp(-eps / tm) * (tm + 0.5 * eps))
 
 
 def piecewise_h_second(t, eps: float):
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros_like(t)
-    m = t > eps / 709.0
-    tm = t[m]
-    out[m] = np.exp(-eps / tm) * (1.0 + eps / tm + 0.5 * (eps / tm) ** 2)
-    return out
+    return _on_support(
+        t, eps, lambda tm: np.exp(-eps / tm) * (1.0 + eps / tm + 0.5 * (eps / tm) ** 2))
 
 
 class PiecewiseSmoothObjective:
@@ -292,6 +287,8 @@ def build_piecewise(
         raise ValueError("need 0 < mu < lipschitz")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    if not np.isfinite([mu, lipschitz, eps]).all():
+        raise ValueError(f"need finite mu, lipschitz and eps, got {mu}, {lipschitz}, {eps}")
     rng = Rng(seed)
     A = rng.standard_normal((d, p))
     b = rng.standard_normal(p)
@@ -361,6 +358,8 @@ def build_logistic(
         raise ValueError("d and m must be >= 1")
     if lam <= 0.0:
         raise ValueError("lam must be positive")
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     rng = Rng(seed)
     A = rng.standard_normal((d, m))
     b = rng.signs(m)
@@ -372,23 +371,21 @@ def build_logistic(
     )
 
 
+# Problem kind -> builder; a description is the kind plus the builder's arguments.
+BUILDERS: dict[str, Callable[..., ObjectiveLike]] = {
+    "laplacian2d": build_laplacian2d,
+    "piecewise": build_piecewise,
+    "logistic": build_logistic,
+}
+
+
 def rebuild(description: dict) -> ObjectiveLike:
     """Reconstruct a problem bitwise-identically from its description."""
-    kind = description.get("kind")
-    if kind == "laplacian2d":
-        return build_laplacian2d(description["n"])
-    if kind == "piecewise":
-        return build_piecewise(
-            d=description["d"], p=description["p"], mu=description["mu"],
-            lipschitz=description["lipschitz"], eps=description["eps"],
-            seed=description["seed"],
-        )
-    if kind == "logistic":
-        return build_logistic(
-            d=description["d"], m=description["m"], lam=description["lam"],
-            seed=description["seed"],
-        )
-    raise ValueError(f"unknown problem kind {kind!r}")
+    args = dict(description)
+    kind = args.pop("kind", None)
+    if kind not in BUILDERS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    return BUILDERS[kind](**args)
 
 
 def check_gradient(f: ObjectiveLike, x: Vector) -> float:

@@ -313,7 +313,6 @@ class SolverConfig:
     method: MethodKind
     tol_rel_grad: float = 1e-8
     max_iter: int = 10**6
-    record_lyapunov: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tol_rel_grad < 1.0:
@@ -329,8 +328,9 @@ class Trace:
     Column conventions: ``grad_norm`` is ||grad f(x_k)|| (the stopping
     quantity), ``E`` the unshifted energy f-gap + mu/2 ||y - x*||^2, and
     ``E_shifted`` its fully shifted counterpart (y-weight mu for HNAG+, mu/2
-    otherwise).  ``grad_shifted_sq`` = ||grad f(x_k) - mu (x_k - x*)||^2 is
-    kept when the config asked for Lyapunov recording.
+    otherwise), and ``grad_shifted_sq`` = ||grad f(x_k) - mu (x_k - x*)||^2.
+    ``solve`` records every column; a trace rebuilt from the CSV columns
+    (which omit ``grad_shifted_sq``) leaves it None.
     """
 
     method: MethodKind
@@ -396,11 +396,9 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
             x_err = float(dx @ dx)
             y_err = float(dy @ dy)
             grad_norm = float(np.linalg.norm(st.grad_cache))
-            gsh_sq = 0.0
-            if config.record_lyapunov:
-                np.multiply(dx, mu, out=tmp)
-                np.subtract(st.grad_cache, tmp, out=tmp)
-                gsh_sq = float(tmp @ tmp)
+            np.multiply(dx, mu, out=tmp)
+            np.subtract(st.grad_cache, tmp, out=tmp)
+            gsh_sq = float(tmp @ tmp)
         if not all(map(math.isfinite, (f_gap, x_err, y_err, grad_norm, gsh_sq))):
             raise DivergenceError(method, st.k)
         cols["f_gap"].append(f_gap)
@@ -409,8 +407,7 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
         cols["y_err_sq"].append(y_err)
         cols["E"].append(f_gap + 0.5 * mu * y_err)
         cols["E_shifted"].append(f_gap - 0.5 * mu * x_err + y_weight * y_err)
-        if config.record_lyapunov:
-            cols["gsh"].append(gsh_sq)
+        cols["gsh"].append(gsh_sq)
 
     record(state)
     g0_norm = cols["grad_norm"][0]
@@ -437,7 +434,7 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
         y_err_sq=np.asarray(cols["y_err_sq"]),
         E=np.asarray(cols["E"]),
         E_shifted=np.asarray(cols["E_shifted"]),
-        grad_shifted_sq=np.asarray(cols["gsh"]) if config.record_lyapunov else None,
+        grad_shifted_sq=np.asarray(cols["gsh"]),
     )
 
 

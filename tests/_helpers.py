@@ -207,8 +207,7 @@ def reference_step(method, state, f, params):
                        f_cache=float("nan"))
 
 
-def reference_solve(f, method, x0, tol_rel_grad=1e-8, max_iter=10**6,
-                    record_lyapunov=True):
+def reference_solve(f, method, x0, tol_rel_grad=1e-8, max_iter=10**6):
     """Trace columns of a solve made of ``reference_step`` and ``f.value``.
 
     Returns a dict keyed like the ``Trace`` fields; raises ``DivergenceError``
@@ -247,7 +246,7 @@ def reference_solve(f, method, x0, tol_rel_grad=1e-8, max_iter=10**6,
             y_err = float(dy @ dy)
             grad_norm = float(np.linalg.norm(st.grad_cache))
             gsh = st.grad_cache - mu * dx
-            gsh_sq = float(gsh @ gsh) if record_lyapunov else 0.0
+            gsh_sq = float(gsh @ gsh)
         if not np.isfinite([f_gap, x_err, y_err, grad_norm, gsh_sq]).all():
             raise DivergenceError(method, st.k)
         cols["f_gap"].append(f_gap)
@@ -265,6 +264,4 @@ def reference_solve(f, method, x0, tol_rel_grad=1e-8, max_iter=10**6,
         record(state)
     out = {c: np.asarray(v) for c, v in cols.items()}
     out["k"] = np.arange(len(cols["f_gap"]), dtype=np.int64)
-    if not record_lyapunov:
-        out["grad_shifted_sq"] = None
     return out

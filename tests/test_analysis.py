@@ -7,13 +7,16 @@ import agmx
 from agmx import MethodKind, RateRegime, SolverConfig
 from agmx.analysis import (
     COMPARISON_CSV_HEADER,
+    OracleError,
     RateFitError,
     compare,
     estimate_rate,
     find_minimizer,
+    measured_rate,
     rows_to_csv,
     theoretical_rate,
 )
+from agmx.solvers import DivergenceError, solve
 
 from _helpers import diagonal_quadratic
 
@@ -42,6 +45,20 @@ class TestFindMinimizer:
             y = xn + m * (xn - x)
             x = xn
         assert np.linalg.norm(x - f.minimizer) <= 1e-6
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_start_gradient_fails_at_once(self, bad):
+        calls = []
+
+        def grad(x):
+            calls.append(1)
+            return np.full(3, bad)
+
+        f = agmx.SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
+                                 mu=1.0, lipschitz=2.0)
+        with pytest.raises(OracleError, match="not finite"):
+            find_minimizer(f)
+        assert len(calls) == 1
 
 
 class TestEstimateRate:
@@ -98,6 +115,31 @@ class TestTheoreticalRate:
         with pytest.raises(ValueError):
             theoretical_rate(MethodKind.GD, 0.5)
 
+    @pytest.mark.parametrize("kappa", [np.inf, np.nan])
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_non_finite_kappa_rejected(self, method, kappa):
+        with pytest.raises(ValueError, match="finite"):
+            theoretical_rate(method, kappa)
+
+
+class TestMeasuredRate:
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_fits_the_family_series(self, lap9, method):
+        x0 = agmx.Rng(42).uniform(lap9.dim)
+        try:
+            trace = solve(lap9, SolverConfig(method=method), x0)
+        except DivergenceError:
+            trace = solve(lap9, SolverConfig(method=method, max_iter=200), x0)
+        hessian_driven = method in (MethodKind.HNAG, MethodKind.HNAG_PLUS,
+                                    MethodKind.HNAG_BOX)
+        series = trace.y_err_sq if hessian_driven else trace.x_err_sq
+        assert measured_rate(trace) == estimate_rate(series).rate
+
+    def test_short_trace_is_nan(self, lap9):
+        trace = solve(lap9, SolverConfig(method=MethodKind.HNAG, max_iter=5),
+                      agmx.Rng(1).uniform(lap9.dim))
+        assert np.isnan(measured_rate(trace))
+
     @pytest.mark.parametrize("kappa", [100.0, 400.0, 1e4])
     def test_ordering_at_large_kappa(self, kappa):
         gd = theoretical_rate(MethodKind.GD, kappa)
@@ -151,3 +193,8 @@ class TestCompare:
                        np.ones(2))
         assert rows[0].status == "diverged"
         assert len(rows) == 2
+        with pytest.raises(DivergenceError) as err:
+            solve(lying, SolverConfig(method=MethodKind.GD, max_iter=2000), np.ones(2))
+        assert rows[0].iterations == err.value.iteration
+        assert np.isnan(rows[0].measured_rate)
+        assert rows[0].theoretical_rate == theoretical_rate(MethodKind.GD, 2.0)

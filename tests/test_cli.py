@@ -1,8 +1,20 @@
 import json
 
+import numpy as np
 import pytest
 
-from agmx import cli
+from agmx import (
+    ContractionTheorem,
+    RateRegime,
+    Rng,
+    SimpleObjective,
+    SolverConfig,
+    build_laplacian2d,
+    cli,
+    contraction_residuals,
+    solve,
+    theoretical_rate,
+)
 from agmx.solvers import DivergenceError, MethodKind
 
 LAP9 = ["--problem", "laplacian2d", "--n", "9"]
@@ -22,12 +34,6 @@ class TestHelpAndUsage:
 
     def test_unknown_flag(self, capsys):
         assert run_cli(["run", "--nosuchflag"]) == 1
-
-    def test_unknown_method_named_in_message(self, tmp_path, capsys):
-        rc = run_cli(["run", *LAP9, "--method", "nosuch",
-                      "--out", str(tmp_path / "t.csv")])
-        assert rc == 1
-        assert "nosuch" in capsys.readouterr().err
 
     def test_unknown_problem(self, capsys):
         assert run_cli(["run", "--problem", "mystery", "--method", "gd"]) == 1
@@ -56,6 +62,116 @@ class TestHelpAndUsage:
         assert str(out) in err
 
 
+PIECEWISE = ["--problem", "piecewise"]
+LOGISTIC = ["--problem", "logistic"]
+MU_HAT_ERROR = "mu_hat must lie in [0, mu]; got "
+
+
+class TestErrorPaths:
+    """Every bad input ends in exactly one ``error:`` line and exit 1."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", *LAP9, "--method", "nosuch", "--out", "@OUT"], "unknown method 'nosuch'"),
+        (["compare", *LAP9, "--methods", "gd,nosuch"], "unknown method 'nosuch'"),
+        (["rates", "--methods", "gd,nosuch"], "unknown method 'nosuch'"),
+        (["diagnose", *LAP9, "--check", "strong_hnag", "--method", "nosuch"],
+         "unknown method 'nosuch'"),
+        (["compare", *LAP9, "--methods", "gd"], "compare needs at least 2 methods"),
+        (["compare", *LAP9, "--methods", "gd,,"], "compare needs at least 2 methods"),
+        (["diagnose", *LAP9, "--check", "nosuch"], "unknown check 'nosuch'"),
+        (["diagnose", *PIECEWISE, "--d", "20", "--check", "prop_quadratic"],
+         "prop_quadratic needs a quadratic problem (laplacian2d)"),
+        (["diagnose", *LAP9, "--check", "thm_hnag_plus", "--method", "gd"],
+         "thm_hnag_plus applies to method 'hnag_plus', not 'gd'"),
+        (["diagnose", *LAP9, "--check", "strong_hnag", "--method", "nag"],
+         "strong_hnag applies to method 'hnag', not 'nag'"),
+        (["diagnose", *LAP9, "--check", "strong_partial", "--method", "hnagplus"],
+         "strong_partial applies to method 'hnag', not 'hnagplus'"),
+        (["diagnose", *LAP9, "--check", "strong_hnag_plus", "--method", "hnag"],
+         "strong_hnag_plus applies to method 'hnag_plus', not 'hnag'"),
+        (["diagnose", *LAP9, "--check", "strong_hnag", "--states", "0"],
+         "--states must be >= 1, got 0"),
+        (["diagnose", *LAP9, "--check", "strong_hnag", "--states", "-3"],
+         "--states must be >= 1, got -3"),
+        (["diagnose", *LAP9, "--check", "strong_partial", "--mu-hat-frac", "2"],
+         MU_HAT_ERROR + "39.154786963877136"),
+        (["diagnose", *LAP9, "--check", "strong_partial", "--mu-hat-frac", "-0.5"],
+         MU_HAT_ERROR + "-9.788696740969284"),
+        (["diagnose", *LAP9, "--check", "strong_partial", "--mu-hat-frac", "nan"],
+         MU_HAT_ERROR + "nan"),
+        (["rates", "--kappas", "0.5"], "kappa must be >= 1"),
+        (["rates", "--kappas", "abc"], "could not convert string to float: 'abc'"),
+        (["run", "--n", "0", "--method", "hnag", "--out", "@OUT"],
+         "grid parameter must be >= 1, got 0"),
+        (["run", *LAP9, "--max-iter", "0", "--method", "hnag", "--out", "@OUT"],
+         "max_iter must be >= 1"),
+        (["run", *LAP9, "--tol", "0", "--method", "hnag", "--out", "@OUT"],
+         "tol_rel_grad must lie in (0, 1)"),
+        (["compare", *LAP9, "--tol", "2", "--methods", "gd,hnag"],
+         "tol_rel_grad must lie in (0, 1)"),
+        (["diagnose", *LAP9, "--tol", "nan", "--check", "thm_hnag_funcval"],
+         "tol_rel_grad must lie in (0, 1)"),
+        (["run", *PIECEWISE, "--mu", "2", "--lipschitz", "1", "--method", "hnag",
+          "--out", "@OUT"], "need 0 < mu < lipschitz"),
+        (["run", *PIECEWISE, "--eps", "0", "--method", "hnag", "--out", "@OUT"],
+         "eps must be positive"),
+        (["compare", *PIECEWISE, "--d", "0", "--methods", "gd,hnag"],
+         "d and p must be >= 1"),
+        (["diagnose", *PIECEWISE, "--p", "0", "--check", "strong_hnag"],
+         "d and p must be >= 1"),
+        (["run", *LOGISTIC, "--lam", "0", "--method", "hnag", "--out", "@OUT"],
+         "lam must be positive"),
+        (["compare", *LOGISTIC, "--lam", "-1", "--methods", "gd,hnag"],
+         "lam must be positive"),
+        (["run", *LOGISTIC, "--m", "0", "--method", "hnag", "--out", "@OUT"],
+         "d and m must be >= 1"),
+        (["run", *LAP9, "--method", "hnag", "--out", "@OUT", "@BADSEED"],
+         "AGMX_SEED must be a decimal integer, got 'abc'"),
+        # non-finite inputs, rejected before the minimizer oracle runs
+        (["run", *PIECEWISE, "--lipschitz", "inf", "--method", "hnag", "--out", "@OUT"],
+         "need finite mu, lipschitz and eps, got 1.0, inf, 1e-06"),
+        (["run", *PIECEWISE, "--eps", "nan", "--method", "hnag", "--out", "@OUT"],
+         "need finite mu, lipschitz and eps, got 1.0, 10000.0, nan"),
+        (["run", *LOGISTIC, "--lam", "inf", "--method", "hnag", "--out", "@OUT"],
+         "lam must be finite, got inf"),
+        (["run", *LOGISTIC, "--lam", "nan", "--method", "hnag", "--out", "@OUT"],
+         "lam must be finite, got nan"),
+        (["rates", "--kappas", "100,nan"], "kappa must be finite, got nan"),
+        (["rates", "--kappas", "inf"], "kappa must be finite, got inf"),
+    ])
+    def test_one_error_line(self, argv, message, tmp_path, monkeypatch, capsys):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the minimizer oracle ran")
+        monkeypatch.setattr(cli.analysis, "find_minimizer", no_oracle)
+        if argv[-1] == "@BADSEED":
+            argv = argv[:-1]
+            monkeypatch.setenv("AGMX_SEED", "abc")
+        out = tmp_path / "out.csv"
+        argv = [str(out) if a == "@OUT" else a for a in argv]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_non_finite_oracle_start(self, tmp_path, monkeypatch, capsys):
+        # an objective whose gradient at 0 is not finite stops the oracle at once
+        calls = []
+
+        def grad(x):
+            calls.append(1)
+            return np.full(x.shape, np.nan)
+
+        bad = SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=4,
+                              mu=1.0, lipschitz=2.0)
+        monkeypatch.setattr(cli, "_build_problem", lambda args, seed: bad)
+        rc = run_cli(["run", "--method", "hnag", "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: minimizer oracle: ||grad f(0)|| is nan, not finite\n"
+        assert len(calls) == 1
+
+
 class TestRun:
     def test_run_writes_trace_and_summary(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -79,6 +195,23 @@ class TestRun:
         out_b = capsys.readouterr().out
         assert a.read_bytes() == b.read_bytes()
         assert out_a == out_b
+
+    @pytest.mark.parametrize("regime,rate_regime", [
+        ("general", RateRegime.GENERAL),
+        ("asymptotic", RateRegime.QUADRATIC_OR_ASYMPTOTIC),
+    ])
+    def test_regime_selects_the_rate(self, regime, rate_regime, tmp_path, capsys):
+        assert run_cli(["run", *LAP9, "--method", "hnag", "--regime", regime,
+                        "--out", str(tmp_path / "t.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["theoretical_rate"] == theoretical_rate(
+            MethodKind.HNAG, summary["kappa"], rate_regime)
+        assert run_cli(["compare", *LAP9, "--methods", "nag,hnag", "--regime", regime,
+                        "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["theoretical_rate"] for r in rows] == [
+            theoretical_rate(m, rows[0]["kappa"], rate_regime)
+            for m in (MethodKind.NAG, MethodKind.HNAG)]
 
     def test_max_iter_exit_code(self, tmp_path, capsys):
         rc = run_cli(["run", *LAP9, "--method", "gd", "--max-iter", "5",
@@ -141,9 +274,6 @@ class TestCompare:
                           "hnag": 160, "hnag_plus": 199}
         capsys.readouterr()
 
-    def test_single_method_rejected(self, capsys):
-        assert run_cli(["compare", *LAP9, "--methods", "gd"]) == 1
-
     def test_nonconvergence_exit_code(self, capsys):
         rc = run_cli(["compare", *LAP9, "--methods", "gd,nag", "--max-iter", "3"])
         assert rc == 2
@@ -170,19 +300,11 @@ class TestDiagnose:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
         assert report["violated_step"] is None
-
-    def test_method_theorem_mismatch(self, capsys):
-        rc = run_cli(["diagnose", *LAP9, "--check", "thm_hnag_plus",
-                      "--method", "gd"])
-        assert rc == 1
-
-    def test_prop_quadratic_needs_quadratic_problem(self, capsys):
-        rc = run_cli(["diagnose", "--problem", "piecewise", "--d", "20",
-                      "--check", "prop_quadratic"])
-        assert rc == 1
-
-    def test_unknown_check(self, capsys):
-        assert run_cli(["diagnose", *LAP9, "--check", "nosuch"]) == 1
+        f = build_laplacian2d(39)
+        trace = solve(f, SolverConfig(method=MethodKind.HNAG), Rng(42).uniform(f.dim))
+        rep = contraction_residuals(ContractionTheorem.THM_HNAG_FUNCVAL, trace, f)
+        assert report["tolerance"] == rep.tolerance
+        assert report["max_violation"] == rep.max_violation
 
     def test_strong_sweep(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -193,32 +315,11 @@ class TestDiagnose:
         assert out.read_text().splitlines()[0] == "k,lhs,rhs,residual"
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
-    @pytest.mark.parametrize("states", ["0", "-3"])
-    def test_sweep_needs_a_state(self, states, capsys):
-        rc = run_cli(["diagnose", *LAP9, "--check", "strong_hnag", "--states", states])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: --states must be >= 1, got {states}\n"
-
     def test_sweep_accepts_method_alias(self, capsys):
         rc = run_cli(["diagnose", *LAP9, "--check", "strong_hnag_plus",
                       "--method", "hnagplus", "--states", "4"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
-
-    @pytest.mark.parametrize("check,method,required", [
-        ("strong_hnag", "nag", "hnag"),
-        ("strong_partial", "hnagplus", "hnag"),
-        ("strong_hnag_plus", "hnag", "hnag_plus"),
-    ])
-    def test_sweep_rejects_other_method(self, check, method, required, capsys):
-        rc = run_cli(["diagnose", *LAP9, "--check", check, "--method", method])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == \
-            f"error: {check} applies to method '{required}', not '{method}'\n"
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["diagnose", *LAP9, "--check", "prop_quadratic", "--seed", "11"]

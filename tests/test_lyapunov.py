@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -34,6 +35,7 @@ from _helpers import (
 )
 
 ALL_KINDS = list(LyapunovKind)
+SCALES = (1e-3, 1e-1, 1.0, 10.0)
 
 
 def test_energy_function_and_module_coexist():
@@ -138,13 +140,29 @@ class TestStrongLyapunov:
             lhs, rhs = strong_lyapunov_terms(kind, f, x, y, beta, mu_hat_frac * f.mu)
             assert lhs - rhs >= -1e-12 * (1.0 + abs(lhs))
 
+    @pytest.mark.parametrize("name", ["laplacian2d", "piecewise", "logistic"])
+    def test_full_partial_shift_is_an_identity(self, problem_trio, name):
+        # at mu_hat = mu the E_PARTIAL bound holds with equality up to
+        # grad f(x*) . (x - x*): exactly 0 on the quadratic, where x* is exact,
+        # and the oracle minimizer's leftover gradient (~1e-10) elsewhere
+        f = problem_trio[name]
+        a = minimizer_anchor(f)
+        beta = flow_beta(LyapunovKind.E_PARTIAL, f)
+        rng = agmx.Rng(43)
+        for i in range(40):
+            x = a.xstar + SCALES[i % 4] * rng.standard_normal(f.dim)
+            y = a.xstar + SCALES[i % 4] * rng.standard_normal(f.dim)
+            lhs, rhs = strong_lyapunov_terms(LyapunovKind.E_PARTIAL, f, x, y, beta,
+                                             f.mu, anchor=a)
+            leftover = float(a.gstar @ (x - a.xstar))
+            if name == "laplacian2d":
+                assert leftover == 0.0
+            assert abs(lhs - rhs - leftover) <= 1e-13 * (1.0 + abs(lhs))
+
     def test_beta_validated(self, lap9):
         with pytest.raises(ValueError):
             strong_lyapunov_residual(LyapunovKind.E_HNAG, lap9,
                                      np.zeros(81), np.zeros(81), beta=0.0)
-
-
-SCALES = (1e-3, 1e-1, 1.0, 10.0)
 
 
 class TestSharedAnchor:
@@ -316,14 +334,30 @@ class TestContraction:
         tr = solve(lap19, SolverConfig(method=method),
                    agmx.Rng(42).uniform(lap19.dim))
         rep = contraction_residuals(theorem, tr, lap19)
-        assert rep.passes(1e-10)
+        assert rep.passes()
         assert len(rep.residuals) == tr.iterations
 
+    def test_tolerance_is_the_pass_threshold(self, lap19):
+        tr = solve(lap19, SolverConfig(method=MethodKind.HNAG),
+                   agmx.Rng(42).uniform(lap19.dim))
+        rep = contraction_residuals(ContractionTheorem.THM_HNAG_FUNCVAL, tr, lap19)
+        assert rep.tolerance == 1e-10 * rep.initial_energy
+        assert dataclasses.replace(rep, max_violation=rep.tolerance).passes()
+        above = np.nextafter(rep.tolerance, np.inf)
+        assert not dataclasses.replace(rep, max_violation=above).passes()
+
     def test_needs_lyapunov_recording(self, lap9):
-        tr = solve(lap9, SolverConfig(method=MethodKind.HNAG, record_lyapunov=False),
+        # a trace rebuilt from the trace CSV columns has no grad_shifted_sq
+        tr = solve(lap9, SolverConfig(method=MethodKind.HNAG),
                    agmx.Rng(1).uniform(lap9.dim))
-        with pytest.raises(ValueError):
-            contraction_residuals(ContractionTheorem.PROP_QUADRATIC, tr, lap9)
+        from_csv = agmx.Trace(method=tr.method, status=tr.status, k=tr.k,
+                              f_gap=tr.f_gap, grad_norm=tr.grad_norm,
+                              x_err_sq=tr.x_err_sq, y_err_sq=tr.y_err_sq,
+                              E=tr.E, E_shifted=tr.E_shifted)
+        assert from_csv.grad_shifted_sq is None
+        with pytest.raises(ValueError, match="grad_shifted_sq"):
+            contraction_residuals(ContractionTheorem.PROP_QUADRATIC, from_csv, lap9)
+        assert contraction_residuals(ContractionTheorem.PROP_QUADRATIC, tr, lap9).passes()
 
     def test_report_csv_columns(self, lap9):
         tr = solve(lap9, SolverConfig(method=MethodKind.HNAG),

@@ -181,6 +181,31 @@ class TestPiecewiseProblem:
         assert (h2 >= 0.0).all()
         assert (h2 <= 1.0 + 1e-12).all()  # sup h'' = 1, approached from below
 
+    def test_h_closed_forms_on_a_mixed_array(self):
+        # each entry on its own: zero off the support, the formula on it
+        eps = 0.3
+        t = np.array([-1.0, 0.0, eps / 1000.0, 0.05, 0.5, 2.0])
+        on = t > eps / 709.0
+        e = np.exp(-eps / t[on])
+        want_h = np.zeros_like(t)
+        want_h[on] = 0.5 * t[on] ** 2 * e
+        want_h1 = np.zeros_like(t)
+        want_h1[on] = e * (t[on] + 0.5 * eps)
+        want_h2 = np.zeros_like(t)
+        want_h2[on] = e * (1.0 + eps / t[on] + 0.5 * (eps / t[on]) ** 2)
+        np.testing.assert_array_equal(piecewise_h(t, eps), want_h)
+        np.testing.assert_array_equal(piecewise_h_prime(t, eps), want_h1)
+        np.testing.assert_array_equal(piecewise_h_second(t, eps), want_h2)
+
+    def test_h_derivatives_match_differences(self):
+        eps, step = 0.3, 1e-6
+        t = np.linspace(0.01, 3.0, 50)
+        fd1 = (piecewise_h(t + step, eps) - piecewise_h(t - step, eps)) / (2 * step)
+        fd2 = (piecewise_h_prime(t + step, eps)
+               - piecewise_h_prime(t - step, eps)) / (2 * step)
+        np.testing.assert_allclose(piecewise_h_prime(t, eps), fd1, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(piecewise_h_second(t, eps), fd2, rtol=1e-6, atol=1e-9)
+
     def test_reproducible_and_rebuildable(self):
         f1 = build_piecewise(seed=42)
         f2 = build_piecewise(seed=42)
@@ -249,9 +274,33 @@ class TestBuilderValidation:
         with pytest.raises(ValueError):
             build_logistic(lam=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"mu": np.inf}, {"mu": np.nan}, {"lipschitz": np.inf}, {"lipschitz": np.nan},
+        {"eps": np.inf}, {"eps": np.nan},
+    ])
+    def test_piecewise_non_finite_args(self, kwargs):
+        with pytest.raises(ValueError):
+            build_piecewise(d=4, p=2, **kwargs)
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_logistic_non_finite_lam(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            build_logistic(d=4, m=2, lam=lam)
+
     def test_rebuild_unknown_kind(self):
         with pytest.raises(ValueError):
             rebuild({"kind": "mystery"})
+
+    def test_rebuild_every_kind(self):
+        # every description field differs from its builder default
+        for f in (build_laplacian2d(7),
+                  build_piecewise(d=7, p=3, mu=0.5, lipschitz=50.0, eps=1e-3, seed=9),
+                  build_logistic(d=11, m=4, lam=0.3, seed=13)):
+            again = rebuild(json.loads(json.dumps(f.description())))
+            assert again.description() == f.description()
+            x = Rng(9).standard_normal(f.dim)
+            assert again.value(x) == f.value(x)
+            assert np.array_equal(again.gradient(x), f.gradient(x))
 
 
 class TestCertificates:

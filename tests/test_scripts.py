@@ -1,6 +1,9 @@
 import os
+import re
 import subprocess
 import sys
+
+from agmx.analysis import COMPARISON_CSV_HEADER
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -14,3 +17,25 @@ def test_verify_theory_passes_every_check():
     assert lines[-1] == "0 failures"
     assert sum(line.startswith("PASS ") for line in lines) == 21
     assert not any(line.startswith("FAIL ") for line in lines)
+
+
+def test_benchmark_laplacian_table():
+    proc = subprocess.run([sys.executable, "scripts/benchmark_laplacian.py",
+                           "--sizes", "9,19", "--skip-gd"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == COMPARISON_CSV_HEADER
+    for n in (9, 19):
+        rows = [line for line in lines if line.endswith(f"  # n={n}")]
+        assert [row.split(",")[0] for row in rows] == ["hnag", "hnag_plus", "tm", "nag"]
+    assert lines[-1] == ("# hnag iteration growth n=9->n=19: 1.798 "
+                         "(kappa ratio ~4 -> ~2 expected)")
+
+
+def test_readme_library_example_runs():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None
+    exec(compile(block.group(1), "README.md", "exec"), {})

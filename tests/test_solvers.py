@@ -310,32 +310,24 @@ def small_logistic():
 class TestBitIdenticalToReference:
     """solve() against the allocating reference step and record loop."""
 
-    @pytest.mark.parametrize("record_lyapunov", [True, False])
     @pytest.mark.parametrize("method", list(MethodKind))
     @pytest.mark.parametrize("problem", ["lap19", "small_piecewise", "small_logistic"])
-    def test_every_column_equal(self, problem, method, record_lyapunov, request):
+    def test_every_column_equal(self, problem, method, request):
         f = request.getfixturevalue(problem)
         x0 = agmx.Rng(42).uniform(f.dim)
         max_iter = 3000     # hnag_box neither converges nor diverges on piecewise
         try:
-            ref = reference_solve(f, method, x0, max_iter=max_iter,
-                                  record_lyapunov=record_lyapunov)
+            ref = reference_solve(f, method, x0, max_iter=max_iter)
         except DivergenceError as err:
             # hnag_box: same divergence step, then equal columns up to it
             with pytest.raises(DivergenceError) as ours:
-                solve(f, SolverConfig(method=method, max_iter=max_iter,
-                                      record_lyapunov=record_lyapunov), x0)
+                solve(f, SolverConfig(method=method, max_iter=max_iter), x0)
             assert ours.value.iteration == err.iteration
             max_iter = err.iteration - 1
-            ref = reference_solve(f, method, x0, max_iter=max_iter,
-                                  record_lyapunov=record_lyapunov)
-        tr = solve(f, SolverConfig(method=method, max_iter=max_iter,
-                                   record_lyapunov=record_lyapunov), x0)
+            ref = reference_solve(f, method, x0, max_iter=max_iter)
+        tr = solve(f, SolverConfig(method=method, max_iter=max_iter), x0)
         for col in TRACE_COLUMNS:
-            if ref[col] is None:
-                assert getattr(tr, col) is None
-            else:
-                assert np.array_equal(getattr(tr, col), ref[col]), col
+            assert np.array_equal(getattr(tr, col), ref[col]), col
 
     @pytest.mark.parametrize("method", list(MethodKind))
     def test_step_matches_reference_step(self, method, small_logistic):
@@ -369,20 +361,18 @@ def nan_gradient_at_call(j):
 
 
 class TestDivergenceParity:
-    @pytest.mark.parametrize("record_lyapunov", [True, False])
     @pytest.mark.parametrize("method", list(MethodKind))
     @pytest.mark.parametrize("j", [1, 2, 3, 6, 7])
-    def test_iteration_where_nan_entered(self, j, method, record_lyapunov):
+    def test_iteration_where_nan_entered(self, j, method):
         # call 1 is the gradient at x0; NAG and TM spend two calls per step
         per_step = 2 if method in (MethodKind.NAG, MethodKind.TM) else 1
         expected = 0 if j == 1 else (j - 2) // per_step + 1
-        cfg = SolverConfig(method=method, record_lyapunov=record_lyapunov)
+        cfg = SolverConfig(method=method)
         with pytest.raises(DivergenceError) as err:
             solve(nan_gradient_at_call(j), cfg, np.ones(4))
         assert err.value.iteration == expected
         with pytest.raises(DivergenceError) as ref:
-            reference_solve(nan_gradient_at_call(j), method, np.ones(4),
-                            record_lyapunov=record_lyapunov)
+            reference_solve(nan_gradient_at_call(j), method, np.ones(4))
         assert ref.value.iteration == expected
 
     @pytest.mark.parametrize("method", list(MethodKind))
