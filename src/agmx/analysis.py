@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -30,9 +31,11 @@ def find_minimizer(
     """High-accuracy reference minimizer.
 
     Quadratics with a known center return it exactly.  Otherwise a plain NAG
-    loop runs from the zero vector until ||grad f(x)|| <= tol * ||grad f(0)||.
-    The loop is deliberately self-contained so it can serve as an independent
-    cross-check on the solver module.
+    loop runs from the zero vector and returns the first extrapolated point y
+    with ||grad f(y)|| <= tol * ||grad f(0)||.  Each iteration evaluates one
+    gradient, at y, which both takes the step and tests for the stop; the
+    first step reuses grad f(0).  The loop is deliberately self-contained so
+    it can serve as an independent cross-check on the solver module.
     """
     if f.minimizer is not None:
         return np.array(f.minimizer, dtype=np.float64, copy=True)
@@ -41,18 +44,26 @@ def find_minimizer(
     momentum = (rk - 1.0) / (rk + 1.0)
     x = np.zeros(f.dim)
     y = x.copy()
-    g0 = np.linalg.norm(f.gradient(x))
+    g = f.gradient(x)
+    g0 = np.linalg.norm(g)
     if not np.isfinite(g0):
         raise OracleError(f"minimizer oracle: ||grad f(0)|| is {g0}, not finite")
     if g0 == 0.0:
         return x
-    for _ in range(max_iter):
-        gy = f.gradient(y)
-        x_new = y - gy / L
+    threshold = tol * g0
+    for k in range(1, max_iter + 1):
+        x_new = y - g / L
         y = x_new + momentum * (x_new - x)
         x = x_new
-        if np.linalg.norm(f.gradient(x)) <= tol * g0:
-            return x
+        g = f.gradient(y)
+        # the same rounding as np.linalg.norm on a real vector
+        g_norm = math.sqrt(g @ g)
+        if g_norm <= threshold:
+            return y
+        if not math.isfinite(g_norm):
+            raise OracleError(
+                f"minimizer oracle: ||grad f(y)|| is {g_norm} at iteration {k}, not finite"
+            )
     raise OracleError(
         f"minimizer oracle hit {max_iter} iterations without reaching "
         f"{tol:g} relative gradient"

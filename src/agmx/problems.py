@@ -99,6 +99,11 @@ class Rng:
         return np.where(u < 0.5, 1.0, -1.0) if size is not None else (1.0 if u < 0.5 else -1.0)
 
 
+# Start-vector seed and iteration cap of every power iteration.
+_EIG_SEED = 0x51AB5EED
+_POWER_MAX_ITER = 100_000
+
+
 class EigenEstimateError(RuntimeError):
     """Power iteration failed to converge; carries the partial estimates."""
 
@@ -134,7 +139,7 @@ def estimate_extreme_eigs(
     matvec: Callable[[Vector], Vector],
     dim: int,
     tol: float = 1e-10,
-    max_iter: int = 100_000,
+    max_iter: int = _POWER_MAX_ITER,
 ) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a symmetric PSD operator.
 
@@ -143,7 +148,7 @@ def estimate_extreme_eigs(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    rng = Rng(0x51AB5EED)
+    rng = Rng(_EIG_SEED)
     lam_max = _power_iteration(matvec, dim, tol, max_iter, rng)
     try:
         spread = _power_iteration(
@@ -152,6 +157,13 @@ def estimate_extreme_eigs(
     except EigenEstimateError as err:
         raise EigenEstimateError(str(err), lam_min=None, lam_max=lam_max) from err
     return lam_max - spread, lam_max
+
+
+def _gram_lambda_max(A: np.ndarray, tol: float) -> float:
+    """lambda_max(A^T A), bit for bit ``estimate_extreme_eigs(...)[1]``
+    without the lambda_min pass the builders do not use."""
+    return _power_iteration(lambda w: A.T @ (A @ w), A.shape[1], tol,
+                            _POWER_MAX_ITER, Rng(_EIG_SEED))
 
 
 class QuadraticObjective:
@@ -292,7 +304,7 @@ def build_piecewise(
     rng = Rng(seed)
     A = rng.standard_normal((d, p))
     b = rng.standard_normal(p)
-    _, gram_max = estimate_extreme_eigs(lambda w: A.T @ (A @ w), p, tol=1e-13)
+    gram_max = _gram_lambda_max(A, 1e-13)
     A *= np.sqrt((lipschitz - mu) / gram_max)
     return PiecewiseSmoothObjective(
         A, b, mu, lipschitz, eps,
@@ -363,7 +375,7 @@ def build_logistic(
     rng = Rng(seed)
     A = rng.standard_normal((d, m))
     b = rng.signs(m)
-    _, gram_max = estimate_extreme_eigs(lambda w: A.T @ (A @ w), m, tol=1e-12)
+    gram_max = _gram_lambda_max(A, 1e-12)
     return LogisticObjective(
         A, b, lam, gram_max + lam,
         description={"kind": "logistic", "d": int(d), "m": int(m),

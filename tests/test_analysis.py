@@ -18,7 +18,12 @@ from agmx.analysis import (
 )
 from agmx.solvers import DivergenceError, solve
 
-from _helpers import diagonal_quadratic
+from _helpers import (
+    count_calls_at_class,
+    diagonal_quadratic,
+    reference_find_minimizer,
+    reference_oracle_iterates,
+)
 
 
 class TestFindMinimizer:
@@ -59,6 +64,57 @@ class TestFindMinimizer:
         with pytest.raises(OracleError, match="not finite"):
             find_minimizer(f)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gradient_in_the_loop_fails_at_once(self, bad):
+        # gradient calls: grad f(0), then one per iteration; the 4th is y_3's
+        calls = []
+
+        def grad(x):
+            calls.append(1)
+            return np.full(3, bad) if len(calls) == 4 else x - 1.0
+
+        f = agmx.SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
+                                 mu=1.0, lipschitz=2.0)
+        with pytest.raises(OracleError, match="at iteration 3, not finite"):
+            find_minimizer(f)
+        assert len(calls) == 4
+
+    def test_budget_counts_iterations(self):
+        calls = []
+
+        def grad(x):
+            calls.append(1)
+            return x - 1.0
+
+        f = agmx.SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
+                                 mu=1.0, lipschitz=2.0)
+        with pytest.raises(OracleError, match="hit 5 iterations"):
+            find_minimizer(f, max_iter=5)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("seed", [7, 42, 2026])
+    @pytest.mark.parametrize("kind", ["piecewise", "logistic"])
+    def test_one_gradient_per_iteration(self, monkeypatch, kind, seed):
+        f = agmx.rebuild({"kind": kind, "seed": seed})
+        calls = count_calls_at_class(monkeypatch, type(f))
+        xstar = find_minimizer(f)
+        work = dict(calls)
+        monkeypatch.undo()
+        n = work["gradient"] - 1
+        assert work["value"] == 0 and work["value_and_gradient"] == 0
+        # the point returned is y_n of the oracle's NAG sequence, bit for bit,
+        # and y_n is the first extrapolated point that passes the stopping test
+        previous = last = None
+        for _, (_, y) in zip(range(n), reference_oracle_iterates(f)):
+            previous, last = last, y
+        assert xstar.tobytes() == last.tobytes()
+        g0 = np.linalg.norm(f.gradient(np.zeros(f.dim)))
+        assert np.linalg.norm(f.gradient(xstar)) <= 1e-12 * g0
+        assert np.linalg.norm(f.gradient(previous)) > 1e-12 * g0
+        # the two-gradient loop stops within roundoff of the same point
+        ref = reference_find_minimizer(f)
+        assert np.linalg.norm(xstar - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 class TestEstimateRate:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agmx
-from agmx import Rng, build_laplacian2d, build_logistic, build_piecewise, rebuild
+from agmx import Rng, build_laplacian2d, build_logistic, build_piecewise, problems, rebuild
 from agmx.problems import (
     EigenEstimateError,
     check_gradient,
@@ -150,6 +150,50 @@ class TestEstimateExtremeEigs:
         D = np.array([1.0, 1.0 + 1e-12])
         with pytest.raises(EigenEstimateError):
             estimate_extreme_eigs(lambda v: D * v, 2, tol=1e-16, max_iter=3)
+
+
+class TestBuilderEigenvalue:
+    """The builders run only the lambda_max power iteration, on the stream and
+    at the tolerance ``estimate_extreme_eigs`` uses, so L is the same bits."""
+
+    @pytest.fixture
+    def power_calls(self, monkeypatch):
+        calls = []
+        original = problems._power_iteration
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(problems, "_power_iteration", counted)
+        return calls
+
+    @pytest.mark.parametrize("build", [build_piecewise, build_logistic])
+    def test_one_power_iteration(self, power_calls, build):
+        build()
+        assert len(power_calls) == 1
+
+    def test_laplacian_needs_none(self, power_calls):
+        build_laplacian2d(9)
+        assert power_calls == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_piecewise_scale_matches_estimate(self, seed):
+        f = build_piecewise(seed=seed)
+        A = Rng(seed).standard_normal((f.dim, f.p))
+        _, gram_max = estimate_extreme_eigs(lambda w: A.T @ (A @ w), f.p, tol=1e-13)
+        assert f.A.tobytes() == (A * np.sqrt((f.lipschitz - f.mu) / gram_max)).tobytes()
+        again = rebuild(f.description())
+        assert again.A.tobytes() == f.A.tobytes() and again.b.tobytes() == f.b.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_logistic_lipschitz_matches_estimate(self, seed):
+        f = build_logistic(seed=seed)
+        _, gram_max = estimate_extreme_eigs(lambda w: f.A.T @ (f.A @ w), f.m, tol=1e-12)
+        assert f.lipschitz == gram_max + f.lam
+        again = rebuild(f.description())
+        assert again.lipschitz == f.lipschitz
+        assert again.A.tobytes() == f.A.tobytes() and again.b.tobytes() == f.b.tobytes()
 
 
 class TestPiecewiseProblem:

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -39,3 +41,26 @@ def test_readme_library_example_runs():
     block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
     assert block is not None
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_benchmark_patch_targets_exist(monkeypatch):
+    # the benchmark patches these bindings through owner.__dict__[attr]
+    path = os.path.join(ROOT, "bench", "instrument.py")
+    spec = importlib.util.spec_from_file_location("bench_instrument", path)
+    instrument = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, instrument)   # for its dataclasses
+    spec.loader.exec_module(instrument)
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, *_ in instrument.TARGETS if attr not in vars(owner)]
+    missing += [(cls.__name__, op) for cls in instrument.OBJECTIVES
+                for op in ("value", "gradient") if op not in vars(cls)]
+    assert missing == []
+
+
+def test_benchmark_correctness_gate():
+    # two passes of the certify workload; the gate times nothing
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "certify",
+                           "--seed", "2026", "--seconds", "1", "--trace", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
