@@ -14,7 +14,7 @@ import sys
 sys.path.insert(0, "src")
 
 import agmx
-from agmx import MethodKind, SolverConfig
+from agmx import MethodKind, SolverConfig, cli
 
 METHODS = [MethodKind.HNAG, MethodKind.HNAG_PLUS, MethodKind.TM,
            MethodKind.NAG, MethodKind.GD]
@@ -33,13 +33,13 @@ def main() -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     config = SolverConfig(method=MethodKind.HNAG, tol_rel_grad=args.tol)
     hnag_counts = {}
-    print(agmx.analysis.COMPARISON_CSV_HEADER)
+    print(cli.COMPARISON_CSV_HEADER)
     for n in sizes:
         f = agmx.build_laplacian2d(n)
         x0 = agmx.Rng(args.seed).uniform(f.dim)
         rows = agmx.compare(f, methods, config, x0,
                             regime=agmx.RateRegime.QUADRATIC_OR_ASYMPTOTIC)
-        for line in agmx.analysis.rows_to_csv(rows).splitlines()[1:]:
+        for line in cli.comparison_table(rows).splitlines()[1:]:
             print(f"{line}  # n={n}")
         hnag_counts[n] = rows[0].iterations
 

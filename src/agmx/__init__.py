@@ -21,7 +21,6 @@ from .core import (
     Vector,
     bregman,
     bregman_asymmetry,
-    grad_step,
 )
 from .lyapunov import (
     CHECKS,
@@ -38,7 +37,6 @@ from .lyapunov import (
     lyapunov,
     minimizer_anchor,
     shift_schedule,
-    strong_lyapunov_residual,
     strong_lyapunov_sweep,
     strong_lyapunov_terms,
 )

@@ -212,16 +212,3 @@ def compare(
         ))
     return rows
 
-
-COMPARISON_CSV_HEADER = "method,kappa,iterations,runtime_s,measured_rate,theoretical_rate"
-
-
-def rows_to_csv(rows: Sequence[ComparisonRow]) -> str:
-    lines = [COMPARISON_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.method.value},{float(row.kappa)!r},{int(row.iterations)},"
-            f"{float(row.runtime_seconds)!r},{float(row.measured_rate)!r},"
-            f"{float(row.theoretical_rate)!r}"
-        )
-    return "\n".join(lines) + "\n"

@@ -15,11 +15,12 @@ diagnose sweep states use Rng(seed+1).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
-from typing import IO, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import analysis, problems, solvers
 from .analysis import RateRegime
@@ -35,7 +36,11 @@ from .lyapunov import (  # noqa: F401  strong_lyapunov_terms: bench/instrument.p
 )
 from .solvers import DivergenceError, SolverConfig, TerminalStatus
 
+# Output tables: the trace's columns are the ``Trace`` fields of these names.
 TRACE_CSV_HEADER = "k,f_gap,grad_norm,x_err_sq,y_err_sq,E,E_shifted"
+COMPARISON_CSV_HEADER = "method,kappa,iterations,runtime_s,measured_rate,theoretical_rate"
+_RESIDUAL_CSV_HEADER = "k,lhs,rhs,residual"
+_RATES_HEADER = "method,kappa,rate_general,rate_special"
 
 _USAGE_ERROR = 1
 _NOT_CONVERGED = 2
@@ -58,18 +63,19 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--problem", choices=list(problems.BUILDERS), default="laplacian2d")
     parser.add_argument("--n", type=int, default=39, help="laplacian2d grid parameter")
-    parser.add_argument("--d", type=int, default=None, help="ambient dimension")
-    parser.add_argument("--p", type=int, default=5, help="piecewise component count")
-    parser.add_argument("--m", type=int, default=50, help="logistic sample count")
-    parser.add_argument("--mu", type=float, default=1.0, help="piecewise strong convexity")
-    parser.add_argument("--lipschitz", type=float, default=1e4, help="piecewise smoothness")
-    parser.add_argument("--eps", type=float, default=1e-6, help="piecewise layer width")
-    parser.add_argument("--lam", type=float, default=0.1, help="logistic regularizer")
+    # an unset problem flag stays out of args (see _build_problem)
+    unset = argparse.SUPPRESS
+    parser.add_argument("--d", type=int, default=unset, help="ambient dimension")
+    parser.add_argument("--p", type=int, default=unset, help="piecewise component count")
+    parser.add_argument("--m", type=int, default=unset, help="logistic sample count")
+    parser.add_argument("--mu", type=float, default=unset, help="piecewise strong convexity")
+    parser.add_argument("--lipschitz", type=float, default=unset, help="piecewise smoothness")
+    parser.add_argument("--eps", type=float, default=unset, help="piecewise layer width")
+    parser.add_argument("--lam", type=float, default=unset, help="logistic regularizer")
     parser.add_argument("--tol", type=float, default=1e-8, help="relative gradient tolerance")
     parser.add_argument("--max-iter", type=int, default=10**6)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 def build_parser() -> _Parser:
@@ -82,6 +88,7 @@ def build_parser() -> _Parser:
 
     p_cmp = sub.add_parser("compare", help="run several methods from the same start")
     _add_common(p_cmp)
+    p_cmp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_cmp.add_argument("--methods", type=str, required=True,
                        help="comma-separated list, e.g. gd,nag,tm,hnagpp")
     for p in (p_run, p_cmp):
@@ -119,16 +126,25 @@ def _seed_of(args: argparse.Namespace) -> int:
 
 
 def _build_problem(args: argparse.Namespace, seed: int):
-    if args.problem == "laplacian2d":
-        return problems.build_laplacian2d(args.n)
-    if args.problem == "piecewise":
-        return problems.build_piecewise(
-            d=args.d if args.d is not None else 100, p=args.p, mu=args.mu,
-            lipschitz=args.lipschitz, eps=args.eps, seed=seed,
-        )
-    return problems.build_logistic(
-        d=args.d if args.d is not None else 1000, m=args.m, lam=args.lam, seed=seed,
-    )
+    """Build --problem from the problem flags the user set and the seed; an
+    unset flag takes the builder's own default."""
+    params = inspect.signature(problems.BUILDERS[args.problem]).parameters
+    spec = {name: value for name, value in vars(args).items() if name in params}
+    if "seed" in params:
+        spec["seed"] = seed
+    return problems.rebuild({"kind": args.problem, **spec})
+
+
+def _setup(args: argparse.Namespace, method: solvers.MethodKind):
+    """(problem with its minimizer, start x0, solver config, seed).
+
+    The config is checked first, so a bad --tol or --max-iter fails before
+    the problem is built and its minimizer oracle runs.
+    """
+    seed = _seed_of(args)
+    config = SolverConfig(method=method, tol_rel_grad=args.tol, max_iter=args.max_iter)
+    f = analysis.ensure_minimizer(_build_problem(args, seed))
+    return f, problems.Rng(seed).uniform(f.dim), config, seed
 
 
 def _write_out(path: Optional[str], text: str) -> None:
@@ -140,35 +156,46 @@ def _write_out(path: Optional[str], text: str) -> None:
         stream.write(text)
 
 
-def _json_float(x: float) -> Optional[float]:
-    return None if math.isnan(x) else float(x)
+def _json_value(cell):
+    return None if isinstance(cell, float) and math.isnan(cell) else cell
 
 
-def _write_trace_csv(trace: solvers.Trace, stream: IO[str]) -> None:
-    stream.write(TRACE_CSV_HEADER + "\n")
-    for k, f_gap, g, xe, ye, e, es in trace.records:
-        stream.write(f"{k},{f_gap!r},{g!r},{xe!r},{ye!r},{e!r},{es!r}\n")
+def format_table(header: str, rows: Iterable[Sequence], fmt: str = "csv") -> str:
+    """Every table agmx prints, from Python ints, floats and strs.
+
+    CSV is the header line, then each row's cells as ``str`` (for a float,
+    its shortest round-trip repr).  JSON is a list of objects keyed by the
+    header's column names, with NaN written as null.
+    """
+    if fmt == "json":
+        keys = header.split(",")
+        return json.dumps([{k: _json_value(c) for k, c in zip(keys, row)}
+                           for row in rows]) + "\n"
+    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def comparison_table(rows: Sequence[analysis.ComparisonRow], fmt: str = "csv") -> str:
+    """The compare table of ``analysis.compare`` rows."""
+    return format_table(COMPARISON_CSV_HEADER, [
+        (r.method.value, float(r.kappa), int(r.iterations), float(r.runtime_seconds),
+         float(r.measured_rate), float(r.theoretical_rate)) for r in rows], fmt)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ValueError("run requires --out for the trace CSV")
-    seed = _seed_of(args)
     method = solvers.parse_method(args.method)
-    f = analysis.ensure_minimizer(_build_problem(args, seed))
-    x0 = problems.Rng(seed).uniform(f.dim)
-    config = SolverConfig(method=method, tol_rel_grad=args.tol,
-                          max_iter=args.max_iter)
+    f, x0, config, _ = _setup(args, method)
     trace = solvers.solve(f, config, x0)
-    with open(args.out, "w") as stream:
-        _write_trace_csv(trace, stream)
+    columns = (getattr(trace, name).tolist() for name in TRACE_CSV_HEADER.split(","))
+    _write_out(args.out, format_table(TRACE_CSV_HEADER, zip(*columns)))
     kappa = float(f.lipschitz / f.mu)
     summary = {
         "method": method.value,
         "kappa": kappa,
         "iterations": trace.iterations,
         "status": trace.status.value,
-        "measured_rate": _json_float(analysis.measured_rate(trace)),
+        "measured_rate": _json_value(analysis.measured_rate(trace)),
         "theoretical_rate": analysis.theoretical_rate(method, kappa, _REGIMES[args.regime]),
     }
     print(json.dumps(summary))
@@ -176,26 +203,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    seed = _seed_of(args)
     names = [s for s in args.methods.split(",") if s.strip()]
     if len(names) < 2:
         raise ValueError("compare needs at least 2 methods")
     methods = [solvers.parse_method(s) for s in names]
-    f = analysis.ensure_minimizer(_build_problem(args, seed))
-    x0 = problems.Rng(seed).uniform(f.dim)
-    config = SolverConfig(method=methods[0], tol_rel_grad=args.tol,
-                          max_iter=args.max_iter)
+    f, x0, config, _ = _setup(args, methods[0])
     rows = analysis.compare(f, methods, config, x0, regime=_REGIMES[args.regime])
-    if args.format == "json":
-        _write_out(args.out, json.dumps([{
-            "method": r.method.value, "kappa": float(r.kappa),
-            "iterations": int(r.iterations),
-            "runtime_s": float(r.runtime_seconds),
-            "measured_rate": _json_float(r.measured_rate),
-            "theoretical_rate": float(r.theoretical_rate),
-        } for r in rows]) + "\n")
-    else:
-        _write_out(args.out, analysis.rows_to_csv(rows))
+    _write_out(args.out, comparison_table(rows, args.format))
     all_converged = all(r.status == TerminalStatus.CONVERGED.value for r in rows)
     return 0 if all_converged else _NOT_CONVERGED
 
@@ -204,7 +218,6 @@ _SWEEP_SCALES = (1e-3, 1e-1, 1.0, 10.0)
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    seed = _seed_of(args)
     check = args.check.strip().lower()
     if check not in CHECKS:
         raise ValueError(f"unknown check '{args.check}'")
@@ -214,12 +227,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     method = check_method(check, args.method)
     if target is ContractionTheorem.PROP_QUADRATIC and args.problem != "laplacian2d":
         raise ValueError("prop_quadratic needs a quadratic problem (laplacian2d)")
-    f = analysis.ensure_minimizer(_build_problem(args, seed))
+    f, x0, config, seed = _setup(args, method)
 
     if isinstance(target, ContractionTheorem):
-        x0 = problems.Rng(seed).uniform(f.dim)
-        config = SolverConfig(method=method, tol_rel_grad=args.tol,
-                              max_iter=args.max_iter)
         trace = solvers.solve(f, config, x0)
         report = contraction_residuals(target, trace, f)
         ok = report.passes()
@@ -239,13 +249,14 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         ok = report.passes()
         summary = {
             "check": check, "states": args.states,
-            "worst_margin": _json_float(report.worst_margin),
+            "worst_margin": _json_value(report.worst_margin),
             "violated_state": None if ok else report.worst_k,
             "pass": ok,
         }
     if args.out:
-        with open(args.out, "w") as stream:
-            report.write_csv(stream)
+        columns = (report.k, report.lhs, report.rhs, report.residuals)
+        _write_out(args.out, format_table(_RESIDUAL_CSV_HEADER,
+                                          zip(*(c.tolist() for c in columns))))
     print(json.dumps(summary))
     return 0 if ok else _NOT_CONVERGED
 
@@ -253,17 +264,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 def _cmd_rates(args: argparse.Namespace) -> int:
     methods = [solvers.parse_method(s) for s in args.methods.split(",") if s.strip()]
     kappas = [float(s) for s in args.kappas.split(",") if s.strip()]
-    # (method, kappa, general rate, quadratic-or-asymptotic rate)
+    if not methods or not kappas:
+        raise ValueError("rates needs at least 1 method and 1 kappa")
     rows = [(m.value, k, *(analysis.theoretical_rate(m, k, r) for r in _REGIMES.values()))
             for m in methods for k in kappas]
-    if args.format == "json":
-        _write_out(args.out, json.dumps([
-            {"method": m, "kappa": k, "rate_general": g, "rate_special": s}
-            for m, k, g, s in rows
-        ]) + "\n")
-    else:
-        _write_out(args.out, "method,kappa,rate_general,rate_special\n" + "".join(
-            f"{m},{k!r},{g!r},{s!r}\n" for m, k, g, s in rows))
+    _write_out(args.out, format_table(_RATES_HEADER, rows, args.format))
     return 0
 
 

@@ -131,15 +131,3 @@ def bregman_asymmetry(f: ObjectiveLike, x: Vector, y: Vector) -> float:
     _check_dims(f, x, y)
     return bregman(f, y, x) - bregman(f, x, y)
 
-
-def grad_step(f: ObjectiveLike, x: Vector) -> Vector:
-    """One gradient-descent step x - grad f(x) / L.
-
-    Guarantees the sufficient decrease f(x+) <= f(x) - ||grad f(x)||^2 / (2L).
-    Accepts a ``ShiftedObjective`` as well, in which case the step uses the
-    shifted function's own smoothness constant.
-    """
-    _check_dims(f, x)
-    if not f.lipschitz > 0.0:
-        raise ValueError("grad_step needs a positive Lipschitz constant")
-    return x - f.gradient(x) / f.lipschitz

@@ -6,8 +6,8 @@ Three energies, one per analysis route:
 * ``E_HNAG_PLUS``   D_{f-mu}(x, x*) + mu ||y - x*||^2        (full shift, 2x y-weight)
 * ``E_PARTIAL``     D_{f-mu_hat}(x, x*) + mu/2 ||y - x*||^2  (partial shift)
 
-``strong_lyapunov_residual`` checks the continuous-time dissipation bounds
-at one state and ``strong_lyapunov_sweep`` at many,
+``strong_lyapunov_terms`` evaluates the continuous-time dissipation bounds
+at one state and ``strong_lyapunov_sweep`` checks them at many,
 ``contraction_residuals`` the per-iteration discrete contractions, and
 ``shift_schedule`` materializes the analysis-only shift sequences.  None of
 these feed back into the solvers; they only certify what the solvers did.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -165,28 +165,6 @@ def strong_lyapunov_terms(
     return float(lhs), float(rhs)
 
 
-def strong_lyapunov_residual(
-    kind: LyapunovKind,
-    f: ObjectiveLike,
-    x: Vector,
-    y: Vector,
-    beta: float,
-    mu_hat: float = 0.0,
-) -> float:
-    """Dissipation slack lhs - rhs; nonnegative wherever the bound holds."""
-    lhs, rhs = strong_lyapunov_terms(kind, f, x, y, beta, mu_hat)
-    return lhs - rhs
-
-
-def _write_residual_csv(stream: IO[str], k, lhs, rhs, residuals) -> None:
-    stream.write("k,lhs,rhs,residual\n")
-    for i in range(len(k)):
-        stream.write(
-            f"{int(k[i])},{float(lhs[i])!r},"
-            f"{float(rhs[i])!r},{float(residuals[i])!r}\n"
-        )
-
-
 @dataclass
 class SweepReport:
     """Dissipation check lhs_k >= rhs_k of one energy at sampled states.
@@ -205,9 +183,6 @@ class SweepReport:
 
     def passes(self) -> bool:
         return bool(self.worst_margin >= 0.0)
-
-    def write_csv(self, stream: IO[str]) -> None:
-        _write_residual_csv(stream, self.k, self.lhs, self.rhs, self.residuals)
 
 
 def strong_lyapunov_sweep(
@@ -308,9 +283,6 @@ class ContractionReport:
 
     def passes(self) -> bool:
         return self.max_violation <= self.tolerance
-
-    def write_csv(self, stream: IO[str]) -> None:
-        _write_residual_csv(stream, self.k, self.lhs, self.rhs, self.residuals)
 
 
 def contraction_residuals(

@@ -105,12 +105,7 @@ _POWER_MAX_ITER = 100_000
 
 
 class EigenEstimateError(RuntimeError):
-    """Power iteration failed to converge; carries the partial estimates."""
-
-    def __init__(self, message: str, lam_min=None, lam_max=None):
-        super().__init__(message)
-        self.lam_min = lam_min
-        self.lam_max = lam_max
+    """Power iteration failed to converge."""
 
 
 def _power_iteration(
@@ -129,10 +124,7 @@ def _power_iteration(
         if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
             return lam
         lam_prev = lam
-    raise EigenEstimateError(
-        f"power iteration did not converge in {max_iter} iterations",
-        lam_max=lam_prev,
-    )
+    raise EigenEstimateError(f"power iteration did not converge in {max_iter} iterations")
 
 
 def estimate_extreme_eigs(
@@ -150,12 +142,7 @@ def estimate_extreme_eigs(
         raise ValueError("tol must be positive")
     rng = Rng(_EIG_SEED)
     lam_max = _power_iteration(matvec, dim, tol, max_iter, rng)
-    try:
-        spread = _power_iteration(
-            lambda v: lam_max * v - matvec(v), dim, tol, max_iter, rng
-        )
-    except EigenEstimateError as err:
-        raise EigenEstimateError(str(err), lam_min=None, lam_max=lam_max) from err
+    spread = _power_iteration(lambda v: lam_max * v - matvec(v), dim, tol, max_iter, rng)
     return lam_max - spread, lam_max
 
 

@@ -194,12 +194,6 @@ def _read_y(method: MethodKind, state: SolverState, params: MethodParams,
     return state.aux
 
 
-def aux_point(method: MethodKind, state: SolverState, params: MethodParams) -> Vector:
-    """The method's reported auxiliary iterate y_k."""
-    return _read_y(method, state, params,
-                   np.empty_like(state.x), np.empty_like(state.x))
-
-
 def _combine(p: Vector, q: Vector, c: float, g: Vector, den: float,
              out: Vector, tmp: Vector) -> Vector:
     """out = (p + q - c * g) / den, rounded exactly as that expression."""
@@ -347,12 +341,6 @@ class Trace:
     @property
     def iterations(self) -> int:
         return len(self.k) - 1
-
-    @property
-    def records(self) -> list[tuple]:
-        cols = (self.k, self.f_gap, self.grad_norm, self.x_err_sq,
-                self.y_err_sq, self.E, self.E_shifted)
-        return [tuple(c[i].item() for c in cols) for i in range(len(self.k))]
 
 
 def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:

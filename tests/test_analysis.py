@@ -4,16 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agmx
-from agmx import MethodKind, RateRegime, SolverConfig
+from agmx import MethodKind, RateRegime, SolverConfig, cli
 from agmx.analysis import (
-    COMPARISON_CSV_HEADER,
     OracleError,
     RateFitError,
     compare,
     estimate_rate,
     find_minimizer,
     measured_rate,
-    rows_to_csv,
     theoretical_rate,
 )
 from agmx.solvers import DivergenceError, solve
@@ -230,9 +228,9 @@ class TestCompare:
         x0 = agmx.Rng(42).uniform(lap9.dim)
         rows = compare(lap9, [MethodKind.GD, MethodKind.NAG],
                        SolverConfig(method=MethodKind.GD), x0)
-        text = rows_to_csv(rows)
+        text = cli.comparison_table(rows)
         lines = text.strip().splitlines()
-        assert lines[0] == COMPARISON_CSV_HEADER
+        assert lines[0] == cli.COMPARISON_CSV_HEADER
         assert len(lines) == 3
         assert lines[1].startswith("gd,")
 

@@ -5,14 +5,19 @@ import pytest
 
 from agmx import (
     ContractionTheorem,
+    LyapunovKind,
     RateRegime,
     Rng,
     SimpleObjective,
     SolverConfig,
     build_laplacian2d,
+    build_piecewise,
     cli,
     contraction_residuals,
+    ensure_minimizer,
+    flow_beta,
     solve,
+    strong_lyapunov_sweep,
     theoretical_rate,
 )
 from agmx.solvers import DivergenceError, MethodKind
@@ -138,6 +143,17 @@ class TestErrorPaths:
          "lam must be finite, got nan"),
         (["rates", "--kappas", "100,nan"], "kappa must be finite, got nan"),
         (["rates", "--kappas", "inf"], "kappa must be finite, got inf"),
+        # the solver config is checked before the problem is built
+        (["run", *PIECEWISE, "--tol", "2", "--method", "hnag", "--out", "@OUT"],
+         "tol_rel_grad must lie in (0, 1)"),
+        (["compare", *LOGISTIC, "--max-iter", "0", "--methods", "gd,hnag"],
+         "max_iter must be >= 1"),
+        (["diagnose", *LAP9, "--check", "strong_hnag", "--tol", "5", "--max-iter", "0"],
+         "tol_rel_grad must lie in (0, 1)"),
+        (["diagnose", *PIECEWISE, "--check", "strong_hnag_plus", "--max-iter", "0"],
+         "max_iter must be >= 1"),
+        (["rates", "--kappas", ","], "rates needs at least 1 method and 1 kappa"),
+        (["rates", "--methods", ","], "rates needs at least 1 method and 1 kappa"),
     ])
     def test_one_error_line(self, argv, message, tmp_path, monkeypatch, capsys):
         def no_oracle(*args, **kwargs):
@@ -152,6 +168,19 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", *LAP9, "--method", "hnag", "--out", "@OUT", "--format", "json"],
+        ["diagnose", *LAP9, "--check", "strong_hnag", "--out", "@OUT", "--format", "csv"],
+    ])
+    def test_format_only_for_tables(self, argv, tmp_path, capsys):
+        # --format belongs to compare and rates; run and diagnose write CSV
+        out = tmp_path / "out.csv"
+        assert run_cli([str(out) if a == "@OUT" else a for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
         assert not out.exists()
 
     def test_non_finite_oracle_start(self, tmp_path, monkeypatch, capsys):
@@ -237,18 +266,20 @@ class TestRun:
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
 
-    def test_seed_env_var(self, tmp_path, monkeypatch, capsys):
+    # the seed draws x0, and the piecewise problem too
+    @pytest.mark.parametrize("flags", [LAP9, ["--problem", "piecewise", "--d", "20"]])
+    def test_seed_env_var(self, flags, tmp_path, monkeypatch, capsys):
         flag = tmp_path / "flag.csv"
         env = tmp_path / "env.csv"
         other = tmp_path / "other.csv"
-        assert run_cli(["run", *LAP9, "--method", "gd", "--seed", "5",
+        assert run_cli(["run", *flags, "--method", "hnag", "--seed", "5",
                         "--out", str(flag)]) == 0
         monkeypatch.setenv("AGMX_SEED", "5")
-        assert run_cli(["run", *LAP9, "--method", "gd", "--out", str(env)]) == 0
+        assert run_cli(["run", *flags, "--method", "hnag", "--out", str(env)]) == 0
         assert flag.read_bytes() == env.read_bytes()
         # explicit flag wins over the environment
         monkeypatch.setenv("AGMX_SEED", "99")
-        assert run_cli(["run", *LAP9, "--method", "gd", "--seed", "5",
+        assert run_cli(["run", *flags, "--method", "hnag", "--seed", "5",
                         "--out", str(other)]) == 0
         assert other.read_bytes() == flag.read_bytes()
         capsys.readouterr()
@@ -349,3 +380,68 @@ class TestRates:
         assert run_cli(["rates", "--out", str(a)]) == 0
         assert run_cli(["rates", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def read_csv(path):
+    """(header, columns) of a CSV written by the CLI, each cell through float()."""
+    lines = path.read_text().splitlines()
+    rows = [[float(c) for c in line.split(",")] for line in lines[1:]]
+    return lines[0].split(","), [np.array(col) for col in zip(*rows)]
+
+
+def same_bits(parsed, column):
+    return parsed.tobytes() == np.asarray(column, dtype=np.float64).tobytes()
+
+
+class TestOutputFormat:
+    """Every cell the CLI writes parses back to the library's number bit for bit."""
+
+    @pytest.mark.parametrize("flags,problem", [
+        (LAP9, lambda: build_laplacian2d(9)),
+        ([*PIECEWISE, "--d", "20"], lambda: ensure_minimizer(build_piecewise(d=20, seed=3))),
+    ])
+    @pytest.mark.parametrize("method", [MethodKind.HNAG, MethodKind.TM])
+    def test_trace_csv(self, flags, problem, method, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run_cli(["run", *flags, "--method", method.value, "--seed", "3",
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        f = problem()
+        trace = solve(f, SolverConfig(method=method), Rng(3).uniform(f.dim))
+        header, columns = read_csv(out)
+        assert ",".join(header) == cli.TRACE_CSV_HEADER
+        for name, parsed in zip(header, columns):
+            assert same_bits(parsed, getattr(trace, name)), name
+
+    @pytest.mark.parametrize("check", ["thm_hnag_plus", "strong_partial"])
+    def test_residual_csv(self, check, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run_cli(["diagnose", *LAP9, "--check", check, "--states", "7",
+                        "--seed", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        f = build_laplacian2d(9)
+        if check == "thm_hnag_plus":
+            trace = solve(f, SolverConfig(method=MethodKind.HNAG_PLUS), Rng(5).uniform(f.dim))
+            report = contraction_residuals(ContractionTheorem.THM_HNAG_PLUS, trace, f)
+        else:
+            kind = LyapunovKind.E_PARTIAL
+            report = strong_lyapunov_sweep(kind, f, flow_beta(kind, f), Rng(6), 7,
+                                           (1e-3, 1e-1, 1.0, 10.0), 0.5 * f.mu)
+        header, columns = read_csv(out)
+        assert header == ["k", "lhs", "rhs", "residual"]
+        for parsed, column in zip(columns, (report.k, report.lhs, report.rhs,
+                                            report.residuals)):
+            assert same_bits(parsed, column)
+
+    def test_diverged_compare_row(self, capsys):
+        argv = ["compare", "--problem", "laplacian2d", "--n", "19",
+                "--methods", "hnag,hnagbox", "--seed", "42"]
+        assert run_cli(argv) == 2
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert [r[0] for r in rows] == ["method", "hnag", "hnag_box"]
+        assert rows[2][4] == "nan"
+        assert run_cli([*argv, "--format", "json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload[1]["method"] == "hnag_box"
+        assert payload[1]["measured_rate"] is None
+        assert payload[0]["measured_rate"] == float(rows[1][4])

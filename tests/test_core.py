@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agmx
-from agmx import ShiftedObjective, bregman, bregman_asymmetry, grad_step
+from agmx import ShiftedObjective, bregman, bregman_asymmetry
 from agmx.core import DimensionError
 
-from _helpers import diagonal_quadratic, quartic_1d, simple_1d_quadratic
+from _helpers import diagonal_quadratic, quartic_1d
 
 
 def states(f, n, seed=0, scale=1.0):
@@ -141,44 +141,3 @@ class TestShiftedObjective:
         with pytest.raises(DimensionError):
             ShiftedObjective(lap9, 0.0, np.zeros(3))
 
-
-class TestGradStep:
-    def test_exact_step_at_kappa_one(self):
-        f = diagonal_quadratic([4.0, 4.0], center=np.array([1.0, -2.0]))
-        x = np.array([10.0, 3.0])
-        np.testing.assert_allclose(grad_step(f, x), f.minimizer, atol=1e-14)
-
-    def test_fixed_point(self, lap9):
-        np.testing.assert_array_equal(grad_step(lap9, lap9.minimizer), lap9.minimizer)
-
-    def test_one_dimensional_hand_value(self):
-        f = simple_1d_quadratic(4.0)
-        assert grad_step(f, np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_sufficient_decrease(self, problem_trio):
-        for f in problem_trio.values():
-            rng = agmx.Rng(41)
-            for _ in range(10):
-                x = rng.standard_normal(f.dim)
-                xp = grad_step(f, x)
-                g = f.gradient(x)
-                bound = f.value(x) - float(g @ g) / (2 * f.lipschitz)
-                assert f.value(xp) <= bound + 1e-9 * (1 + abs(bound))
-
-    def test_shifted_objective_accepted(self, lap39):
-        shifted = ShiftedObjective(lap39, 0.5 * lap39.mu, lap39.minimizer)
-        x = agmx.Rng(42).standard_normal(lap39.dim)
-        xp = grad_step(shifted, x)
-        np.testing.assert_allclose(
-            xp, x - shifted.gradient(x) / (lap39.lipschitz - 0.5 * lap39.mu),
-            rtol=1e-12)
-
-
-@given(curv=st.floats(1e-2, 1e3), x0=st.floats(-50.0, 50.0))
-@settings(deadline=None, max_examples=50)
-def test_grad_step_decrease_property(curv, x0):
-    f = simple_1d_quadratic(curv)
-    x = np.array([x0])
-    xp = grad_step(f, x)
-    g = f.gradient(x)
-    assert f.value(xp) <= f.value(x) - float(g @ g) / (2 * curv) + 1e-9 * (1 + abs(f.value(x)))

@@ -1,5 +1,5 @@
 import dataclasses
-import io
+import json
 
 import numpy as np
 import pytest
@@ -19,10 +19,10 @@ from agmx import (
     minimizer_anchor,
     shift_schedule,
     solve,
-    strong_lyapunov_residual,
     strong_lyapunov_sweep,
     strong_lyapunov_terms,
 )
+from agmx import cli
 from agmx.core import MinimizerUnknownError, ShiftedObjective
 
 from _helpers import (
@@ -161,8 +161,8 @@ class TestStrongLyapunov:
 
     def test_beta_validated(self, lap9):
         with pytest.raises(ValueError):
-            strong_lyapunov_residual(LyapunovKind.E_HNAG, lap9,
-                                     np.zeros(81), np.zeros(81), beta=0.0)
+            strong_lyapunov_terms(LyapunovKind.E_HNAG, lap9,
+                                  np.zeros(81), np.zeros(81), beta=0.0)
 
 
 class TestSharedAnchor:
@@ -249,11 +249,17 @@ class TestSharedAnchor:
         assert np.isnan(rep.worst_margin)
         assert not rep.passes()
 
-    def test_sweep_csv(self, lap9):
-        rep = strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap9, 1.0, agmx.Rng(1), 3, SCALES)
-        buf = io.StringIO()
-        rep.write_csv(buf)
-        lines = buf.getvalue().splitlines()
+    def test_sweep_csv(self, lap9, tmp_path, capsys):
+        # diagnose --seed 0 sweeps with Rng(1) at the flow's beta
+        out = tmp_path / "s.csv"
+        assert cli.main(["diagnose", "--problem", "laplacian2d", "--n", "9",
+                         "--check", "strong_hnag", "--states", "3", "--seed", "0",
+                         "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+        rep = strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap9,
+                                    flow_beta(LyapunovKind.E_HNAG, lap9),
+                                    agmx.Rng(1), 3, SCALES)
+        lines = out.read_text().splitlines()
         assert lines[0] == "k,lhs,rhs,residual"
         lhs, rhs, res = (float(v[0]) for v in (rep.lhs, rep.rhs, rep.residuals))
         assert lines[1] == f"0,{lhs!r},{rhs!r},{res!r}"
@@ -292,14 +298,14 @@ class TestTraceEnergyColumns:
         # the solve loop assembles E / E_shifted from recorded scalars; the
         # lyapunov module evaluates the definitions from scratch at the same
         # states reconstructed by re-stepping
-        from agmx.solvers import aux_point, init_state, make_params, step
+        from agmx.solvers import init_state, make_params, step
 
         f = lap9
         tr = solve(f, SolverConfig(method=method, max_iter=40), agmx.Rng(3).uniform(f.dim))
         p = make_params(method, f.mu, f.lipschitz)
         st = init_state(method, f, agmx.Rng(3).uniform(f.dim), p)
         for k in range(min(tr.iterations, 40) + 1):
-            x, y = st.x, aux_point(method, st, p)
+            x, y = st.x, st.aux / p.alpha
             e_def = lyapunov(LyapunovKind.E_HNAG, f, x, y)
             scale = 1e-12 * (1.0 + abs(e_def))
             assert abs(tr.E[k] - e_def) <= scale
@@ -359,13 +365,16 @@ class TestContraction:
             contraction_residuals(ContractionTheorem.PROP_QUADRATIC, from_csv, lap9)
         assert contraction_residuals(ContractionTheorem.PROP_QUADRATIC, tr, lap9).passes()
 
-    def test_report_csv_columns(self, lap9):
+    def test_report_csv_columns(self, lap9, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli.main(["diagnose", "--problem", "laplacian2d", "--n", "9",
+                         "--check", "thm_hnag_funcval", "--seed", "1",
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
         tr = solve(lap9, SolverConfig(method=MethodKind.HNAG),
                    agmx.Rng(1).uniform(lap9.dim))
         rep = contraction_residuals(ContractionTheorem.THM_HNAG_FUNCVAL, tr, lap9)
-        buf = io.StringIO()
-        rep.write_csv(buf)
-        lines = buf.getvalue().splitlines()
+        lines = out.read_text().splitlines()
         assert lines[0] == "k,lhs,rhs,residual"
         assert len(lines) == len(rep.residuals) + 1
 

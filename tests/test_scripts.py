@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 
-from agmx.analysis import COMPARISON_CSV_HEADER
+from agmx.cli import COMPARISON_CSV_HEADER
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 

@@ -5,7 +5,6 @@ import agmx
 from agmx import MethodKind, SolverConfig, TerminalStatus
 from agmx.solvers import (
     DivergenceError,
-    aux_point,
     forms_deviation,
     init_state,
     make_params,
@@ -80,8 +79,7 @@ class TestStepHandValues:
         st = init_state(MethodKind.HNAG, f, np.array([1.0]), p)
         st = step(MethodKind.HNAG, st, f, p)
         assert st.x[0] == pytest.approx(2.0 - SQRT2, abs=1e-15)
-        assert aux_point(MethodKind.HNAG, st, p)[0] == pytest.approx(
-            1.0 / (1.0 + SQRT2), abs=1e-15)
+        assert st.aux[0] / p.alpha == pytest.approx(1.0 / (1.0 + SQRT2), abs=1e-15)
         assert st.k == 1
 
     def test_hnag_plus_one_step(self):
@@ -90,7 +88,7 @@ class TestStepHandValues:
         st = init_state(MethodKind.HNAG_PLUS, f, np.array([1.0]), p)
         st = step(MethodKind.HNAG_PLUS, st, f, p)
         assert st.x[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert aux_point(MethodKind.HNAG_PLUS, st, p)[0] == pytest.approx(0.5, abs=1e-15)
+        assert st.aux[0] / p.alpha == pytest.approx(0.5, abs=1e-15)
 
     def test_params_method_mismatch(self):
         f = simple_1d_quadratic(1.0)
@@ -141,7 +139,7 @@ class TestSchemeFormConsistency:
             st = step(MethodKind.HNAG, st, f, p)
             scale = 1.0 + np.linalg.norm(x)
             assert np.linalg.norm(st.x - x) <= 1e-12 * scale
-            assert np.linalg.norm(aux_point(MethodKind.HNAG, st, p) - y) <= 1e-12 * scale
+            assert np.linalg.norm(st.aux / p.alpha - y) <= 1e-12 * scale
 
     def test_xy_form_reproduces_rescaled_variant(self):
         # same reconstruction for the rescaled scheme (2x auxiliary weight)
@@ -158,8 +156,7 @@ class TestSchemeFormConsistency:
             st = step(MethodKind.HNAG_PLUS, st, f, p)
             scale = 1.0 + np.linalg.norm(x)
             assert np.linalg.norm(st.x - x) <= 1e-12 * scale
-            assert np.linalg.norm(
-                aux_point(MethodKind.HNAG_PLUS, st, p) - y) <= 1e-12 * scale
+            assert np.linalg.norm(st.aux / p.alpha - y) <= 1e-12 * scale
 
 
 class TestFormsDeviation:
@@ -211,7 +208,9 @@ class TestSolve:
     def test_records_shape(self, lap9):
         tr = solve(lap9, SolverConfig(method=MethodKind.NAG),
                    agmx.Rng(1).uniform(lap9.dim))
-        assert len(tr.records) == tr.iterations + 1
+        for name in ("f_gap", "grad_norm", "x_err_sq", "y_err_sq", "E", "E_shifted",
+                     "grad_shifted_sq"):
+            assert getattr(tr, name).shape == (tr.iterations + 1,)
         assert tr.k[0] == 0 and tr.k[-1] == tr.iterations
 
     def test_regression_against_scripted_oracle(self, lap19):
