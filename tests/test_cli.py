@@ -266,21 +266,35 @@ class TestRun:
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
 
-    # the seed draws x0, and the piecewise problem too
-    @pytest.mark.parametrize("flags", [LAP9, ["--problem", "piecewise", "--d", "20"]])
-    def test_seed_env_var(self, flags, tmp_path, monkeypatch, capsys):
+    def test_seed_env_var(self, tmp_path, monkeypatch, capsys):
         flag = tmp_path / "flag.csv"
         env = tmp_path / "env.csv"
         other = tmp_path / "other.csv"
-        assert run_cli(["run", *flags, "--method", "hnag", "--seed", "5",
+        assert run_cli(["run", *LAP9, "--method", "gd", "--seed", "5",
                         "--out", str(flag)]) == 0
         monkeypatch.setenv("AGMX_SEED", "5")
-        assert run_cli(["run", *flags, "--method", "hnag", "--out", str(env)]) == 0
+        assert run_cli(["run", *LAP9, "--method", "gd", "--out", str(env)]) == 0
         assert flag.read_bytes() == env.read_bytes()
         # explicit flag wins over the environment
         monkeypatch.setenv("AGMX_SEED", "99")
-        assert run_cli(["run", *flags, "--method", "hnag", "--seed", "5",
+        assert run_cli(["run", *LAP9, "--method", "gd", "--seed", "5",
                         "--out", str(other)]) == 0
+        assert other.read_bytes() == flag.read_bytes()
+        capsys.readouterr()
+
+    def test_seed_env_var_draws_piecewise_problem(self, tmp_path, monkeypatch, capsys):
+        # the seed draws the piecewise problem as well as x0
+        flags = ["--problem", "piecewise", "--d", "20", "--method", "hnag"]
+        flag = tmp_path / "flag.csv"
+        env = tmp_path / "env.csv"
+        other = tmp_path / "other.csv"
+        assert run_cli(["run", *flags, "--seed", "5", "--out", str(flag)]) == 0
+        monkeypatch.setenv("AGMX_SEED", "5")
+        assert run_cli(["run", *flags, "--out", str(env)]) == 0
+        assert flag.read_bytes() == env.read_bytes()
+        # explicit flag wins over the environment
+        monkeypatch.setenv("AGMX_SEED", "99")
+        assert run_cli(["run", *flags, "--seed", "5", "--out", str(other)]) == 0
         assert other.read_bytes() == flag.read_bytes()
         capsys.readouterr()
 
