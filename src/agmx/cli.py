@@ -62,9 +62,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--problem", choices=list(problems.BUILDERS), default="laplacian2d")
-    parser.add_argument("--n", type=int, default=39, help="laplacian2d grid parameter")
     # an unset problem flag stays out of args (see _build_problem)
     unset = argparse.SUPPRESS
+    parser.add_argument("--n", type=int, default=unset, help="laplacian2d grid parameter")
     parser.add_argument("--d", type=int, default=unset, help="ambient dimension")
     parser.add_argument("--p", type=int, default=unset, help="piecewise component count")
     parser.add_argument("--m", type=int, default=unset, help="logistic sample count")
@@ -127,9 +127,15 @@ def _seed_of(args: argparse.Namespace) -> int:
 
 def _build_problem(args: argparse.Namespace, seed: int):
     """Build --problem from the problem flags the user set and the seed; an
-    unset flag takes the builder's own default."""
+    unset flag takes the builder's default, and one it does not take is an error."""
     params = inspect.signature(problems.BUILDERS[args.problem]).parameters
-    spec = {name: value for name, value in vars(args).items() if name in params}
+    # every builder argument but the seed is a problem flag
+    flags = {name for build in problems.BUILDERS.values()
+             for name in inspect.signature(build).parameters} - {"seed"}
+    spec = {name: value for name, value in vars(args).items() if name in flags}
+    stray = [f"--{name}" for name in spec if name not in params]
+    if stray:
+        raise ValueError(f"--problem {args.problem} takes no {', '.join(stray)}")
     if "seed" in params:
         spec["seed"] = seed
     return problems.rebuild({"kind": args.problem, **spec})

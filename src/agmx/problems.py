@@ -186,7 +186,7 @@ class QuadraticObjective:
         return dict(self._description)
 
 
-def build_laplacian2d(n: int) -> QuadraticObjective:
+def build_laplacian2d(n: int = 39) -> QuadraticObjective:
     """Five-point FD Laplacian on the unit square, n x n interior grid.
 
     Dirichlet boundary, spacing h = 1/(n+1), target point x* = 0.  Extreme

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agmx
-from agmx import MethodKind, RateRegime, SolverConfig, cli
+from agmx import MethodKind, RateRegime, SolverConfig, analysis, cli, solvers
 from agmx.analysis import (
     OracleError,
     RateFitError,
+    _nag_loop,
     compare,
     estimate_rate,
     find_minimizer,
@@ -22,6 +23,14 @@ from _helpers import (
     reference_find_minimizer,
     reference_oracle_iterates,
 )
+
+
+def _nag_from_zero(f, max_iter=2 * 10**6):
+    """The oracle's NAG fallback loop run from 0, where grad f(0) is its
+    first gradient call."""
+    x = np.zeros(f.dim)
+    g = f.gradient(x)
+    return _nag_loop(f, x, g, 1e-12 * np.linalg.norm(g), max_iter)
 
 
 class TestFindMinimizer:
@@ -75,7 +84,7 @@ class TestFindMinimizer:
         f = agmx.SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
                                  mu=1.0, lipschitz=2.0)
         with pytest.raises(OracleError, match="at iteration 3, not finite"):
-            find_minimizer(f)
+            _nag_from_zero(f)
         assert len(calls) == 4
 
     def test_budget_counts_iterations(self):
@@ -88,7 +97,7 @@ class TestFindMinimizer:
         f = agmx.SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
                                  mu=1.0, lipschitz=2.0)
         with pytest.raises(OracleError, match="hit 5 iterations"):
-            find_minimizer(f, max_iter=5)
+            _nag_from_zero(f, max_iter=5)
         assert len(calls) == 6
 
     @pytest.mark.parametrize("seed", [7, 42, 2026])
@@ -96,7 +105,7 @@ class TestFindMinimizer:
     def test_one_gradient_per_iteration(self, monkeypatch, kind, seed):
         f = agmx.rebuild({"kind": kind, "seed": seed})
         calls = count_calls_at_class(monkeypatch, type(f))
-        xstar = find_minimizer(f)
+        xstar = _nag_from_zero(f)
         work = dict(calls)
         monkeypatch.undo()
         n = work["gradient"] - 1
@@ -113,6 +122,112 @@ class TestFindMinimizer:
         # the two-gradient loop stops within roundoff of the same point
         ref = reference_find_minimizer(f)
         assert np.linalg.norm(xstar - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("call", [3, 4])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_newton_gradient_fails_at_once(self, bad, call):
+        # f = ||x - 1||^2 / 2: grad f(0) is call 1, the first Hessian-vector
+        # product calls 2 and 3, and the line search's full step call 4
+        calls = []
+
+        def grad(x):
+            calls.append(1)
+            return np.full(3, bad) if len(calls) == call else x - 1.0
+
+        f = agmx.SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
+                                 mu=1.0, lipschitz=2.0)
+        with pytest.raises(OracleError, match=f"non-finite gradient at call {call}$"):
+            find_minimizer(f)
+        assert len(calls) == call
+
+    @pytest.mark.parametrize("seed", [7, 42, 2026])
+    @pytest.mark.parametrize("kind", ["piecewise", "logistic"])
+    def test_newton_oracle(self, monkeypatch, kind, seed):
+        f = agmx.rebuild({"kind": kind, "seed": seed})
+        calls = count_calls_at_class(monkeypatch, type(f))
+        xstar = find_minimizer(f)
+        work = dict(calls)
+        ref = reference_find_minimizer(f)
+        ref_grads = calls["gradient"] - work["gradient"]
+        monkeypatch.undo()
+        assert work["value"] == 0 and work["value_and_gradient"] == 0
+        assert 5 * work["gradient"] <= ref_grads
+        g0 = np.linalg.norm(f.gradient(np.zeros(f.dim)))
+        assert np.linalg.norm(f.gradient(xstar)) <= 1e-12 * g0
+        assert np.linalg.norm(xstar - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_newton_alone(self, monkeypatch):
+        def no_fallback(*args):
+            raise AssertionError("the NAG fallback ran")
+        monkeypatch.setattr(analysis, "_nag_loop", no_fallback)
+        f = agmx.build_piecewise(seed=42)
+        xstar = find_minimizer(f)
+        g0 = np.linalg.norm(f.gradient(np.zeros(f.dim)))
+        assert np.linalg.norm(f.gradient(xstar)) <= 1e-12 * g0
+
+    def test_newton_then_fallback(self, monkeypatch):
+        # near-discontinuous Hessian: the line search stalls short of the
+        # tolerance, and NAG finishes from Newton's point
+        f = agmx.build_piecewise(lipschitz=1e6, seed=5)
+        g0 = np.linalg.norm(f.gradient(np.zeros(f.dim)))
+        starts = []
+
+        def fallback(f_, x, g, threshold, max_iter):
+            starts.append((x.copy(), g.copy()))
+            return nag_loop(f_, x, g, threshold, max_iter)
+
+        nag_loop = analysis._nag_loop
+        monkeypatch.setattr(analysis, "_nag_loop", fallback)
+        xstar = find_minimizer(f)
+        monkeypatch.undo()
+        [(x, g)] = starts
+        assert g.tobytes() == f.gradient(x).tobytes()
+        assert 1e-12 * g0 < np.linalg.norm(g) < 1e-6 * g0
+        assert xstar.tobytes() == nag_loop(f, x, g, 1e-12 * g0, 10**6).tobytes()
+        assert np.linalg.norm(f.gradient(xstar)) <= 1e-12 * g0
+
+    @pytest.mark.parametrize("description", [
+        {"kind": "piecewise", "lipschitz": 1e6},
+        {"kind": "logistic", "lam": 1e-3},
+    ])
+    def test_hard_cases_reach_tolerance(self, description):
+        for seed in [*range(32), 42, 2026]:
+            f = agmx.rebuild({**description, "seed": seed})
+            xstar = find_minimizer(f)
+            g0 = np.linalg.norm(f.gradient(np.zeros(f.dim)))
+            assert np.linalg.norm(f.gradient(xstar)) <= 1e-12 * g0, seed
+
+    @given(dim=st.integers(2, 40), rank=st.integers(1, 6),
+           mu=st.floats(1e-2, 10.0), kappa=st.floats(1.0, 1e3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_hidden_center_of_spd_quadratic(self, dim, rank, mu, kappa, seed):
+        # f = (x - c)^T (mu I + U U^T) (x - c) / 2 with ||U||_2^2 = (kappa - 1) mu
+        rng = np.random.default_rng(seed)
+        U = rng.standard_normal((dim, rank))
+        U *= np.sqrt((kappa - 1.0) * mu) / np.linalg.norm(U, 2)
+        c = rng.standard_normal(dim)
+
+        def grad(x):
+            r = x - c
+            return mu * r + U @ (U.T @ r)
+
+        f = agmx.SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=dim,
+                                 mu=mu, lipschitz=kappa * mu)
+        xstar = find_minimizer(f)
+        assert np.linalg.norm(grad(xstar)) <= 1e-12 * np.linalg.norm(grad(np.zeros(dim)))
+        assert np.linalg.norm(xstar - c) <= 1e-8 * np.linalg.norm(c)
+
+    def test_never_calls_solvers(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the minimizer oracle called into solvers")
+        monkeypatch.setattr(solvers, "step", forbidden)
+        monkeypatch.setattr(solvers, "_advance", forbidden)
+        for kind in ("piecewise", "logistic"):
+            f = agmx.rebuild({"kind": kind, "seed": 7})
+            xstar = find_minimizer(f)
+            g0 = np.linalg.norm(f.gradient(np.zeros(f.dim)))
+            assert np.linalg.norm(f.gradient(xstar)) <= 1e-12 * g0
 
 
 class TestEstimateRate:

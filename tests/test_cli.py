@@ -154,6 +154,19 @@ class TestErrorPaths:
          "max_iter must be >= 1"),
         (["rates", "--kappas", ","], "rates needs at least 1 method and 1 kappa"),
         (["rates", "--methods", ","], "rates needs at least 1 method and 1 kappa"),
+        # a problem flag the chosen builder does not take
+        (["run", *LAP9, "--d", "20", "--lam", "5", "--method", "nag", "--out", "@OUT"],
+         "--problem laplacian2d takes no --d, --lam"),
+        (["compare", *PIECEWISE, "--n", "9", "--methods", "gd,hnag"],
+         "--problem piecewise takes no --n"),
+        (["run", *PIECEWISE, "--m", "3", "--method", "hnag", "--out", "@OUT"],
+         "--problem piecewise takes no --m"),
+        (["diagnose", *LOGISTIC, "--eps", "1e-3", "--check", "strong_hnag"],
+         "--problem logistic takes no --eps"),
+        (["diagnose", *LOGISTIC, "--lipschitz", "50", "--mu", "2", "--check", "strong_hnag"],
+         "--problem logistic takes no --lipschitz, --mu"),
+        (["run", "--p", "3", "--method", "hnag", "--out", "@OUT"],
+         "--problem laplacian2d takes no --p"),
     ])
     def test_one_error_line(self, argv, message, tmp_path, monkeypatch, capsys):
         def no_oracle(*args, **kwargs):
@@ -366,6 +379,16 @@ class TestDiagnose:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
+    @pytest.mark.parametrize("problem,seed", [("piecewise", 42), ("logistic", 42),
+                                              ("logistic", 7)])
+    def test_full_partial_shift_passes_on_nonquadratics(self, problem, seed, capsys):
+        # at mu_hat = mu the bound is an identity up to grad f(x*) . (x - x*);
+        # with the Newton-CG minimizer these cases pass within the 1e-12 allowance
+        rc = run_cli(["diagnose", "--problem", problem, "--check", "strong_partial",
+                      "--mu-hat-frac", "1.0", "--seed", str(seed)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["diagnose", *LAP9, "--check", "prop_quadratic", "--seed", "11"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -412,6 +435,7 @@ class TestOutputFormat:
 
     @pytest.mark.parametrize("flags,problem", [
         (LAP9, lambda: build_laplacian2d(9)),
+        (["--problem", "laplacian2d"], lambda: build_laplacian2d(39)),
         ([*PIECEWISE, "--d", "20"], lambda: ensure_minimizer(build_piecewise(d=20, seed=3))),
     ])
     @pytest.mark.parametrize("method", [MethodKind.HNAG, MethodKind.TM])

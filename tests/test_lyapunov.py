@@ -144,7 +144,7 @@ class TestStrongLyapunov:
     def test_full_partial_shift_is_an_identity(self, problem_trio, name):
         # at mu_hat = mu the E_PARTIAL bound holds with equality up to
         # grad f(x*) . (x - x*): exactly 0 on the quadratic, where x* is exact,
-        # and the oracle minimizer's leftover gradient (~1e-10) elsewhere
+        # and set by the oracle minimizer's leftover gradient elsewhere
         f = problem_trio[name]
         a = minimizer_anchor(f)
         beta = flow_beta(LyapunovKind.E_PARTIAL, f)

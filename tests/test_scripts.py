@@ -64,3 +64,12 @@ def test_benchmark_correctness_gate():
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_benchmark_correctness_gate_small_nonquad():
+    # two passes of piecewise and logistic jobs, each behind the minimizer oracle
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "small-nonquad",
+                           "--seed", "2026", "--seconds", "1", "--trace", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
