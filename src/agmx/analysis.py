@@ -25,19 +25,20 @@ class OracleError(RuntimeError):
     """The minimizer oracle did not reach its gradient tolerance."""
 
 
+# The oracle's relative gradient tolerance and NAG iteration budget
+_ORACLE_TOL = 1e-12
+_NAG_MAX_ITER = 2 * 10**6
 # Newton-CG budget in gradient calls, and the central-difference step scale
 _NEWTON_MAX_GRADS = 4000
 _HV_STEP = 1e-9
 
 
-def find_minimizer(
-    f: ObjectiveLike, tol: float = 1e-12, max_iter: int = 2 * 10**6
-) -> Vector:
+def find_minimizer(f: ObjectiveLike) -> Vector:
     """High-accuracy reference minimizer, from gradient calls only.
 
     Quadratics with a known center return it exactly.  Otherwise Newton-CG
-    runs from the zero vector until ||grad f(x)|| <= tol * ||grad f(0)||; if
-    it misses that test within its budget, the NAG loop (at most ``max_iter``
+    runs from the zero vector until ||grad f(x)|| <= 1e-12 ||grad f(0)||; if
+    it misses that test within its budget, the NAG loop (at most 2e6
     iterations) takes over from Newton's point of least gradient norm.  Both
     are deliberately self-contained so the oracle can serve as an
     independent cross-check on the solver module.
@@ -51,11 +52,11 @@ def find_minimizer(
         raise OracleError(f"minimizer oracle: ||grad f(0)|| is {g0}, not finite")
     if g0 == 0.0:
         return x
-    threshold = tol * g0
+    threshold = _ORACLE_TOL * g0
     x, g = _newton_cg(f, x, g, threshold)
     if math.sqrt(g @ g) <= threshold:
         return x
-    return _nag_loop(f, x, g, threshold, max_iter)
+    return _nag_loop(f, x, g, threshold, _NAG_MAX_ITER)
 
 
 def _newton_cg(f: ObjectiveLike, x: Vector, g: Vector, threshold: float):
@@ -128,10 +129,10 @@ def _nag_loop(f: ObjectiveLike, x: Vector, g: Vector, threshold: float, max_iter
     )
 
 
-def ensure_minimizer(f: ObjectiveLike, tol: float = 1e-12) -> ObjectiveLike:
+def ensure_minimizer(f: ObjectiveLike) -> ObjectiveLike:
     """Attach an oracle minimizer to f if it has none; returns f."""
     if f.minimizer is None:
-        f.minimizer = find_minimizer(f, tol=tol)
+        f.minimizer = find_minimizer(f)
     return f
 
 
@@ -149,20 +150,16 @@ class RateEstimate:
     metric: str
 
 
-def estimate_rate(
-    errors: Sequence[float], tail_fraction: float = 0.5, metric: str = ""
-) -> RateEstimate:
+def estimate_rate(errors: Sequence[float], metric: str = "") -> RateEstimate:
     """Least-squares slope of ln(e_k) over the trailing window.
 
     The sequence is truncated at the first entry below 1e-28 * e_0 (floating
-    point floor), then the last ``tail_fraction`` of what remains is fitted;
-    the window is widened backward if needed so it always spans >= 10 steps.
+    point floor), then the last half of what remains is fitted; the window
+    is widened backward if needed so it always spans >= 10 steps.
     """
     e = np.asarray(errors, dtype=np.float64)
     if e.ndim != 1 or len(e) < 20:
         raise RateFitError("need a 1-D error sequence of length >= 20")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise RateFitError("tail_fraction must lie in (0, 1]")
     if not (e > 0.0).all():
         raise RateFitError("errors must be positive")
 
@@ -171,7 +168,7 @@ def estimate_rate(
         e = e[: below[0]]
     if len(e) < 11:
         raise RateFitError(f"fewer than 10 usable points after truncation ({len(e)})")
-    start = min(int(np.floor((1.0 - tail_fraction) * len(e))), len(e) - 11)
+    start = min(len(e) // 2, len(e) - 11)
     ks = np.arange(start, len(e), dtype=np.float64)
     logs = np.log(e[start:])
     slope, intercept = np.polyfit(ks, logs, 1)

@@ -5,8 +5,8 @@ Subcommands: ``run`` (one method, trace CSV + JSON summary), ``compare``
 (theoretical-rate catalog).  Outputs are byte-identical across repeated runs
 with the same flags and seed, runtime columns excepted.
 
-Exit codes: 0 success, 1 usage or configuration error (an unwritable --out
-included), 2 non-convergence or failed check, 3 divergence.  The seed comes
+Exit codes: 0 success, 1 usage or configuration error (a missing, empty or
+unwritable --out included), 2 non-convergence or failed check, 3 divergence.  The seed comes
 from --seed, else the AGMX_SEED environment variable, else 42.  The start
 vector x0 is drawn componentwise from Unif(0,1) with a fresh Rng(seed);
 diagnose sweep states use Rng(seed+1).
@@ -101,7 +101,7 @@ def build_parser() -> _Parser:
                              "strong_hnag | strong_hnag_plus | strong_partial")
     p_diag.add_argument("--method", type=str, default=None)
     p_diag.add_argument("--mu-hat-frac", type=float, default=0.5,
-                        help="partial-shift fraction of mu for strong_partial")
+                        help="partial-shift fraction of mu for strong_partial, in [0, 1]")
     p_diag.add_argument("--states", type=int, default=100,
                         help="number of sweep states for strong_* checks")
 
@@ -188,7 +188,7 @@ def comparison_table(rows: Sequence[analysis.ComparisonRow], fmt: str = "csv") -
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.out is None:
+    if not args.out:
         raise ValueError("run requires --out for the trace CSV")
     method = solvers.parse_method(args.method)
     f, x0, config, _ = _setup(args, method)
@@ -229,6 +229,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown check '{args.check}'")
     if args.states < 1:
         raise ValueError(f"--states must be >= 1, got {args.states}")
+    if not 0.0 <= args.mu_hat_frac <= 1.0:
+        raise ValueError(f"--mu-hat-frac must lie in [0, 1], got {args.mu_hat_frac}")
     target = CHECKS[check][0]
     method = check_method(check, args.method)
     if target is ContractionTheorem.PROP_QUADRATIC and args.problem != "laplacian2d":

@@ -32,8 +32,10 @@ class ObjectiveLike(Protocol):
     for quadratics, attached by the minimizer oracle otherwise).
 
     ``value_and_gradient`` returns ``(value(x), gradient(x))`` with both parts
-    bit-identical to the separate calls; an objective that can read its value
-    off the gradient's work (a quadratic) saves the second evaluation there.
+    bit-identical to the separate calls.  A subclass inherits the default,
+    which makes exactly those two calls through ``self``; an objective that
+    can read its value off the gradient's work (a quadratic) overrides it to
+    save the second evaluation.
     """
 
     dim: int
@@ -46,11 +48,12 @@ class ObjectiveLike(Protocol):
 
     def gradient(self, x: Vector) -> Vector: ...
 
-    def value_and_gradient(self, x: Vector) -> tuple[float, Vector]: ...
+    def value_and_gradient(self, x: Vector) -> tuple[float, Vector]:
+        return self.value(x), self.gradient(x)
 
 
 @dataclass
-class SimpleObjective:
+class SimpleObjective(ObjectiveLike):
     """Ad-hoc objective from plain callables, mostly for tests and demos."""
 
     value_fn: Callable[[Vector], float]
@@ -67,11 +70,8 @@ class SimpleObjective:
     def gradient(self, x: Vector) -> Vector:
         return np.asarray(self.grad_fn(x), dtype=np.float64)
 
-    def value_and_gradient(self, x: Vector) -> tuple[float, Vector]:
-        return self.value(x), self.gradient(x)
 
-
-class ShiftedObjective:
+class ShiftedObjective(ObjectiveLike):
     """The quadratically shifted function f(x) - (shift/2) * ||x - center||^2.
 
     The center must be the minimizer of the base objective, so the shifted
@@ -107,9 +107,6 @@ class ShiftedObjective:
         if self.shift == 0.0:
             return self.base.gradient(x)
         return self.base.gradient(x) - self.shift * (x - self.center)
-
-    def value_and_gradient(self, x: Vector) -> tuple[float, Vector]:
-        return self.value(x), self.gradient(x)
 
 
 def _check_dims(f: ObjectiveLike, *vecs: Vector) -> None:

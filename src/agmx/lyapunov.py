@@ -295,18 +295,18 @@ def contraction_residuals(
             f"{theorem.value} applies to {expected.value} traces, "
             f"got {trace.method.value}"
         )
-    mu, L = f.mu, f.lipschitz
+    # the contraction factor is 1/(1 + w alpha) with the method's alpha: w = 1
+    # for the function-value theorem, 2 for the two shifted-energy ones
+    L = f.lipschitz
     if theorem is ContractionTheorem.THM_HNAG_FUNCVAL:
         energy = trace.E - trace.grad_norm**2 / (2.0 * L)
-        rate = 1.0 / (1.0 + np.sqrt(2.0 * mu / L))
+        w = 1.0
     else:
         if trace.grad_shifted_sq is None:
             raise ValueError("trace lacks shifted gradients (grad_shifted_sq)")
         energy = trace.E_shifted - trace.grad_shifted_sq / (2.0 * L)
-        if theorem is ContractionTheorem.THM_HNAG_PLUS:
-            rate = 1.0 / (1.0 + 2.0 * np.sqrt(mu / L))
-        else:
-            rate = 1.0 / (1.0 + 2.0 * np.sqrt(2.0 * mu / L))
+        w = 2.0
+    rate = 1.0 / (1.0 + w * make_params(expected, f.mu, L).alpha)
 
     lhs = energy[1:]
     rhs = rate * energy[:-1]
@@ -361,7 +361,6 @@ class ShiftSchedule:
     r: np.ndarray
     admissible: bool
     cancellation_ok: bool
-    cancellation_margin: float
 
     @property
     def limit_rate(self) -> float:
@@ -397,5 +396,4 @@ def shift_schedule(delta0: float, a: float, rho: float, k_max: int) -> ShiftSche
         delta=delta, mu_k=mu_k, c=c, r=r,
         admissible=admissible,
         cancellation_ok=bool(margin >= 0.0),
-        cancellation_margin=float(margin),
     )

@@ -233,7 +233,7 @@ def piecewise_h_second(t, eps: float):
         t, eps, lambda tm: np.exp(-eps / tm) * (1.0 + eps / tm + 0.5 * (eps / tm) ** 2))
 
 
-class PiecewiseSmoothObjective:
+class PiecewiseSmoothObjective(ObjectiveLike):
     """f(x) = sum_i h(a_i . x - b_i) + mu/2 ||x||^2 with h as above.
 
     The columns a_i are scaled so that ||A||_2 = sqrt(L - mu); since
@@ -259,9 +259,6 @@ class PiecewiseSmoothObjective:
     def gradient(self, x: Vector) -> Vector:
         t = self.A.T @ x - self.b
         return self.A @ piecewise_h_prime(t, self.eps) + self.mu * x
-
-    def value_and_gradient(self, x: Vector) -> tuple[float, Vector]:
-        return self.value(x), self.gradient(x)
 
     def description(self) -> dict:
         return dict(self._description)
@@ -310,7 +307,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-class LogisticObjective:
+class LogisticObjective(ObjectiveLike):
     """l2-regularized logistic regression over m labelled columns a_i.
 
     f(x) = sum_i log(1 + exp(-b_i a_i . x)) + lam/2 ||x||^2, labels in {-1,+1}.
@@ -338,9 +335,6 @@ class LogisticObjective:
     def gradient(self, x: Vector) -> Vector:
         s = self.b * (self.A.T @ x)
         return self.A @ (-self.b * _sigmoid(-s)) + self.lam * x
-
-    def value_and_gradient(self, x: Vector) -> tuple[float, Vector]:
-        return self.value(x), self.gradient(x)
 
     def description(self) -> dict:
         return dict(self._description)

@@ -41,7 +41,14 @@ class MethodKind(enum.Enum):
     HNAG_BOX = "hnag_box"
 
 
-HNAG_FAMILY = (MethodKind.HNAG, MethodKind.HNAG_PLUS, MethodKind.HNAG_BOX)
+# The Hessian-driven family's step constants: alpha^2 in units of mu/L, and
+# the x- and v-gradient weights in units of 1/L.
+_HNAG_COEFFS = {
+    MethodKind.HNAG: (2.0, 1.0, 2.0),
+    MethodKind.HNAG_PLUS: (1.0, 1.0, 1.0),
+    MethodKind.HNAG_BOX: (2.0, 2.0, 1.0),
+}
+HNAG_FAMILY = tuple(_HNAG_COEFFS)
 
 _ALIASES = {
     "gd": MethodKind.GD,
@@ -81,14 +88,13 @@ class DivergenceError(RuntimeError):
 class MethodParams:
     """Step constants derived from (mu, L) for one method.
 
-    For the Hessian-driven family, ``alpha_sq`` is stored exactly (2mu/L or
-    mu/L) and ``alpha`` is its square root; ``x_grad_coeff``/``v_grad_coeff``
-    are the gradient weights of the two updates.
+    For the Hessian-driven family, ``alpha_sq`` is stored exactly (a mu/L
+    with a from ``_HNAG_COEFFS``) and ``alpha`` is its square root;
+    ``x_grad_coeff``/``v_grad_coeff`` are the gradient weights of the two
+    updates.
     """
 
     method: MethodKind
-    mu: float
-    lipschitz: float
     inv_lipschitz: float
     alpha: float = 0.0
     alpha_sq: float = 0.0
@@ -109,24 +115,14 @@ def make_params(method: MethodKind, mu: float, lipschitz: float) -> MethodParams
     L = float(lipschitz)
     mu = float(mu)
     kappa = L / mu
-    common = dict(method=method, mu=mu, lipschitz=L, inv_lipschitz=1.0 / L)
+    common = dict(method=method, inv_lipschitz=1.0 / L)
 
-    if method in (MethodKind.HNAG, MethodKind.HNAG_BOX):
-        alpha_sq = 2.0 * mu / L
-        alpha = np.sqrt(alpha_sq)
-        if method is MethodKind.HNAG:
-            x_c, v_c = 1.0 / L, 2.0 / L
-        else:
-            x_c, v_c = 2.0 / L, 1.0 / L
+    if method in _HNAG_COEFFS:
+        a, x_c, v_c = _HNAG_COEFFS[method]
+        alpha_sq = a * mu / L
         return MethodParams(
-            **common, alpha=alpha, alpha_sq=alpha_sq, alpha_beta=1.0 / L,
-            x_grad_coeff=x_c, v_grad_coeff=v_c,
-        )
-    if method is MethodKind.HNAG_PLUS:
-        alpha_sq = mu / L
-        return MethodParams(
-            **common, alpha=np.sqrt(alpha_sq), alpha_sq=alpha_sq,
-            alpha_beta=1.0 / L, x_grad_coeff=1.0 / L, v_grad_coeff=1.0 / L,
+            **common, alpha=np.sqrt(alpha_sq), alpha_sq=alpha_sq, alpha_beta=1.0 / L,
+            x_grad_coeff=x_c / L, v_grad_coeff=v_c / L,
         )
     if method is MethodKind.GD:
         return MethodParams(**common, gd_step=2.0 / (L + mu))
@@ -371,8 +367,7 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
     y_weight = mu if method is MethodKind.HNAG_PLUS else 0.5 * mu
     dx, dy, tmp = (np.empty_like(state.x) for _ in range(3))
 
-    cols: dict[str, list] = {name: [] for name in (
-        "f_gap", "grad_norm", "x_err_sq", "y_err_sq", "E", "E_shifted", "gsh")}
+    rows: list[tuple[float, ...]] = []   # one per step, in Trace field order
 
     def record(st: SolverState) -> None:
         # squared quantities can overflow long before coordinates do; treat
@@ -389,20 +384,14 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
             gsh_sq = float(tmp @ tmp)
         if not all(map(math.isfinite, (f_gap, x_err, y_err, grad_norm, gsh_sq))):
             raise DivergenceError(method, st.k)
-        cols["f_gap"].append(f_gap)
-        cols["grad_norm"].append(grad_norm)
-        cols["x_err_sq"].append(x_err)
-        cols["y_err_sq"].append(y_err)
-        cols["E"].append(f_gap + 0.5 * mu * y_err)
-        cols["E_shifted"].append(f_gap - 0.5 * mu * x_err + y_weight * y_err)
-        cols["gsh"].append(gsh_sq)
+        rows.append((f_gap, grad_norm, x_err, y_err, f_gap + 0.5 * mu * y_err,
+                     f_gap - 0.5 * mu * x_err + y_weight * y_err, gsh_sq))
 
     record(state)
-    g0_norm = cols["grad_norm"][0]
-    threshold = config.tol_rel_grad * g0_norm
+    threshold = config.tol_rel_grad * rows[0][1]
     status = TerminalStatus.MAX_ITER
     while True:
-        if cols["grad_norm"][-1] <= threshold:
+        if rows[-1][1] <= threshold:
             status = TerminalStatus.CONVERGED
             break
         if state.k >= config.max_iter:
@@ -411,19 +400,8 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
         state, spare = spare, state
         record(state)
 
-    n = len(cols["f_gap"])
-    return Trace(
-        method=method,
-        status=status,
-        k=np.arange(n, dtype=np.int64),
-        f_gap=np.asarray(cols["f_gap"]),
-        grad_norm=np.asarray(cols["grad_norm"]),
-        x_err_sq=np.asarray(cols["x_err_sq"]),
-        y_err_sq=np.asarray(cols["y_err_sq"]),
-        E=np.asarray(cols["E"]),
-        E_shifted=np.asarray(cols["E_shifted"]),
-        grad_shifted_sq=np.asarray(cols["gsh"]),
-    )
+    return Trace(method, status, np.arange(len(rows), dtype=np.int64),
+                 *map(np.asarray, zip(*rows)))
 
 
 def forms_deviation(f: ObjectiveLike, x0: Vector, k: int) -> float:

@@ -1,7 +1,7 @@
 """Shared test objects: bespoke quadratics, a quartic, counting wrappers,
-the allocating reference step and solve loop, the two-gradient reference
-minimizer oracle, and the reference energies and dissipation terms evaluated
-through ``bregman`` and ``ShiftedObjective``."""
+the per-method reference parameters, the allocating reference step and solve
+loop, the two-gradient reference minimizer oracle, and the reference energies
+and dissipation terms evaluated through ``bregman`` and ``ShiftedObjective``."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -15,7 +15,14 @@ from agmx import (
     bregman,
     bregman_asymmetry,
 )
-from agmx.solvers import HNAG_FAMILY, DivergenceError, SolverState, make_params
+from agmx.core import ObjectiveLike
+from agmx.solvers import (
+    HNAG_FAMILY,
+    DivergenceError,
+    MethodParams,
+    SolverState,
+    make_params,
+)
 
 
 def diagonal_quadratic(lams, center=None):
@@ -50,8 +57,9 @@ def simple_1d_quadratic(curvature=1.0):
     )
 
 
-class CountingObjective:
-    """Pass-through objective that counts value/gradient evaluations."""
+class CountingObjective(ObjectiveLike):
+    """Pass-through objective that counts value/gradient evaluations; its
+    inherited ``value_and_gradient`` is counted as one of each."""
 
     def __init__(self, base):
         self.base = base
@@ -70,10 +78,6 @@ class CountingObjective:
     def gradient(self, x):
         self.grad_calls += 1
         return self.base.gradient(x)
-
-    def value_and_gradient(self, x):
-        # counted through value and gradient, like the generic objectives
-        return self.value(x), self.gradient(x)
 
 
 def count_calls_at_class(monkeypatch, cls, ops=("value", "gradient", "value_and_gradient")):
@@ -189,6 +193,43 @@ def reference_find_minimizer(f, tol=1e-12, max_iter=2 * 10**6):
         if np.linalg.norm(f.gradient(x)) <= tol * g0:
             return x
     raise RuntimeError(f"reference oracle hit {max_iter} iterations")
+
+
+def reference_make_params(method, mu, lipschitz):
+    """``make_params`` written per method, with each constant spelled out."""
+    L = float(lipschitz)
+    mu = float(mu)
+    kappa = L / mu
+    common = dict(method=method, inv_lipschitz=1.0 / L)
+    if method in (MethodKind.HNAG, MethodKind.HNAG_BOX):
+        alpha_sq = 2.0 * mu / L
+        if method is MethodKind.HNAG:
+            x_c, v_c = 1.0 / L, 2.0 / L
+        else:
+            x_c, v_c = 2.0 / L, 1.0 / L
+        return MethodParams(
+            **common, alpha=np.sqrt(alpha_sq), alpha_sq=alpha_sq, alpha_beta=1.0 / L,
+            x_grad_coeff=x_c, v_grad_coeff=v_c,
+        )
+    if method is MethodKind.HNAG_PLUS:
+        alpha_sq = mu / L
+        return MethodParams(
+            **common, alpha=np.sqrt(alpha_sq), alpha_sq=alpha_sq,
+            alpha_beta=1.0 / L, x_grad_coeff=1.0 / L, v_grad_coeff=1.0 / L,
+        )
+    if method is MethodKind.GD:
+        return MethodParams(**common, gd_step=2.0 / (L + mu))
+    if method is MethodKind.NAG:
+        rk = np.sqrt(kappa)
+        return MethodParams(**common, momentum=(rk - 1.0) / (rk + 1.0))
+    rho = 1.0 - 1.0 / np.sqrt(kappa)
+    tm = (
+        (1.0 + rho) / L,
+        rho**2 / (2.0 - rho),
+        rho**2 / ((1.0 + rho) * (2.0 - rho)),
+        rho**2 / (1.0 - rho**2) if rho > 0.0 else 0.0,
+    )
+    return MethodParams(**common, tm_coeffs=tm)
 
 
 def reference_step(method, state, f, params):

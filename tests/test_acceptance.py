@@ -154,7 +154,7 @@ def test_criterion_05_quadratic_rate_fit(quadratic_traces, kappa):
     """Fitted tail slope of the shifted energy within 5% of 2*sqrt(2/kappa)."""
     f, trace = quadratic_traces[kappa]
     energy = trace.E_shifted - trace.grad_shifted_sq / (2.0 * f.lipschitz)
-    est = estimate_rate(energy, tail_fraction=0.5, metric="shifted_energy")
+    est = estimate_rate(energy, metric="shifted_energy")
     q = 2.0 * np.sqrt(2.0 / kappa)
     dev = abs((1.0 - est.rate) - q)
     exact_tail = 1.0 - 1.0 / (1.0 + np.sqrt(2.0 / kappa)) ** 2

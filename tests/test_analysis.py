@@ -243,12 +243,12 @@ class TestEstimateRate:
 
     def test_floor_truncation(self):
         e = np.concatenate([0.5 ** np.arange(50), np.full(10, 1e-40)])
-        est = estimate_rate(e, tail_fraction=0.5)
+        est = estimate_rate(e)
         assert est.rate == pytest.approx(0.5, rel=1e-10)
         assert est.window[1] <= 49
 
     def test_window_spans_at_least_ten_steps(self):
-        est = estimate_rate(0.9 ** np.arange(20), tail_fraction=0.5)
+        est = estimate_rate(0.9 ** np.arange(20))
         assert est.window[1] - est.window[0] >= 10
 
     def test_errors(self):
@@ -256,8 +256,6 @@ class TestEstimateRate:
             estimate_rate(0.5 ** np.arange(10))
         with pytest.raises(RateFitError):
             estimate_rate(np.concatenate([[1.0], np.full(30, -1.0)]))
-        with pytest.raises(RateFitError):
-            estimate_rate(np.ones(30), tail_fraction=0.0)
         with pytest.raises(RateFitError):
             # only 5 usable points survive the floor cut
             estimate_rate(np.concatenate([np.ones(5), np.full(20, 1e-40)]))

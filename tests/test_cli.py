@@ -69,7 +69,7 @@ class TestHelpAndUsage:
 
 PIECEWISE = ["--problem", "piecewise"]
 LOGISTIC = ["--problem", "logistic"]
-MU_HAT_ERROR = "mu_hat must lie in [0, mu]; got "
+MU_HAT_ERROR = "--mu-hat-frac must lie in [0, 1], got "
 
 
 class TestErrorPaths:
@@ -99,9 +99,9 @@ class TestErrorPaths:
         (["diagnose", *LAP9, "--check", "strong_hnag", "--states", "-3"],
          "--states must be >= 1, got -3"),
         (["diagnose", *LAP9, "--check", "strong_partial", "--mu-hat-frac", "2"],
-         MU_HAT_ERROR + "39.154786963877136"),
+         MU_HAT_ERROR + "2.0"),
         (["diagnose", *LAP9, "--check", "strong_partial", "--mu-hat-frac", "-0.5"],
-         MU_HAT_ERROR + "-9.788696740969284"),
+         MU_HAT_ERROR + "-0.5"),
         (["diagnose", *LAP9, "--check", "strong_partial", "--mu-hat-frac", "nan"],
          MU_HAT_ERROR + "nan"),
         (["rates", "--kappas", "0.5"], "kappa must be >= 1"),
@@ -167,6 +167,11 @@ class TestErrorPaths:
          "--problem logistic takes no --lipschitz, --mu"),
         (["run", "--p", "3", "--method", "hnag", "--out", "@OUT"],
          "--problem laplacian2d takes no --p"),
+        # checked before the build, so the oracle never runs
+        (["diagnose", *LOGISTIC, "--check", "strong_partial", "--mu-hat-frac", "2"],
+         MU_HAT_ERROR + "2.0"),
+        (["run", *LAP9, "--method", "hnag", "--out", ""],
+         "run requires --out for the trace CSV"),
     ])
     def test_one_error_line(self, argv, message, tmp_path, monkeypatch, capsys):
         def no_oracle(*args, **kwargs):

@@ -7,7 +7,7 @@ import agmx
 from agmx import ShiftedObjective, bregman, bregman_asymmetry
 from agmx.core import DimensionError
 
-from _helpers import diagonal_quadratic, quartic_1d
+from _helpers import count_calls_at_class, diagonal_quadratic, quartic_1d
 
 
 def states(f, n, seed=0, scale=1.0):
@@ -141,3 +141,30 @@ class TestShiftedObjective:
         with pytest.raises(DimensionError):
             ShiftedObjective(lap9, 0.0, np.zeros(3))
 
+
+# One small instance of each objective class, with its expected oracle calls
+# for one value_and_gradient: the quadratic reads its value off the gradient.
+OBJECTIVES = {
+    "simple": (quartic_1d, {"value": 1, "gradient": 1}),
+    "shifted": (lambda: ShiftedObjective(agmx.build_laplacian2d(5), 1.5, np.zeros(25)),
+                {"value": 1, "gradient": 1}),
+    "laplacian2d": (lambda: agmx.build_laplacian2d(5), {"value": 0, "gradient": 1}),
+    "piecewise": (lambda: agmx.build_piecewise(d=20, p=3, seed=3),
+                  {"value": 1, "gradient": 1}),
+    "logistic": (lambda: agmx.build_logistic(d=30, m=10, seed=5),
+                 {"value": 1, "gradient": 1}),
+}
+
+
+class TestValueAndGradient:
+    @pytest.mark.parametrize("name", list(OBJECTIVES))
+    def test_equals_the_separate_calls(self, name, monkeypatch):
+        build, expected = OBJECTIVES[name]
+        f = build()
+        x = agmx.Rng(7).standard_normal(f.dim)
+        value, grad = f.value_and_gradient(x)
+        assert value == f.value(x)
+        np.testing.assert_array_equal(grad, f.gradient(x))
+        calls = count_calls_at_class(monkeypatch, type(f), ops=("value", "gradient"))
+        f.value_and_gradient(x)
+        assert calls == expected

@@ -343,6 +343,29 @@ class TestContraction:
         assert rep.passes()
         assert len(rep.residuals) == tr.iterations
 
+    @pytest.mark.parametrize("grid", ["lap9", "lap19"])
+    @pytest.mark.parametrize("theorem,method", [
+        (ContractionTheorem.THM_HNAG_FUNCVAL, MethodKind.HNAG),
+        (ContractionTheorem.PROP_QUADRATIC, MethodKind.HNAG),
+        (ContractionTheorem.THM_HNAG_PLUS, MethodKind.HNAG_PLUS),
+    ])
+    def test_rhs_uses_the_closed_form_factor(self, request, grid, theorem, method):
+        # the factor 1/(1 + w alpha) rounds as each theorem's closed form
+        f = request.getfixturevalue(grid)
+        mu, L = f.mu, f.lipschitz
+        tr = solve(f, SolverConfig(method=method), agmx.Rng(42).uniform(f.dim))
+        if theorem is ContractionTheorem.THM_HNAG_FUNCVAL:
+            energy = tr.E - tr.grad_norm**2 / (2.0 * L)
+            rate = 1.0 / (1.0 + np.sqrt(2.0 * mu / L))
+        else:
+            energy = tr.E_shifted - tr.grad_shifted_sq / (2.0 * L)
+            if theorem is ContractionTheorem.THM_HNAG_PLUS:
+                rate = 1.0 / (1.0 + 2.0 * np.sqrt(mu / L))
+            else:
+                rate = 1.0 / (1.0 + 2.0 * np.sqrt(2.0 * mu / L))
+        rep = contraction_residuals(theorem, tr, f)
+        np.testing.assert_array_equal(rep.rhs, rate * energy[:-1])
+
     def test_tolerance_is_the_pass_threshold(self, lap19):
         tr = solve(lap19, SolverConfig(method=MethodKind.HNAG),
                    agmx.Rng(42).uniform(lap19.dim))

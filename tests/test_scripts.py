@@ -73,3 +73,13 @@ def test_benchmark_correctness_gate_small_nonquad():
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_benchmark_correctness_gate_lap178_solve():
+    # two passes of compare, run, a strong_hnag sweep and the run's
+    # certificate at n = 178, every iteration count checked against its record
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "lap178-solve",
+                           "--seed", "2026", "--seconds", "1", "--trace", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

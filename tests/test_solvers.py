@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from _helpers import (
     CountingObjective,
     count_calls_at_class,
     diagonal_quadratic,
+    reference_make_params,
     reference_solve,
     reference_step,
     simple_1d_quadratic,
@@ -65,6 +68,17 @@ class TestMakeParams:
         a, b, g, d = p.tm_coeffs
         assert a == pytest.approx(1.0 / 5.0)
         assert (b, g, d) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_matches_per_method_reference(self, method):
+        # the coefficient table rounds as the constants spelled out per method
+        for mu in (0.1, 1.0, 3.7):
+            for kappa in (1.0, 2.0, 100.0, 785.0, 3150.0, 13000.0, 1e8):
+                p = make_params(method, mu, kappa * mu)
+                ref = reference_make_params(method, mu, kappa * mu)
+                for field in dataclasses.fields(p):
+                    assert getattr(p, field.name) == getattr(ref, field.name), \
+                        (method, mu, kappa, field.name)
 
     @pytest.mark.parametrize("mu,L", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0)])
     def test_invalid_constants(self, mu, L):
