@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of every Trace column over a grid of solves.
+
+Prints one line per (problem, seed, method): the iteration count, the
+terminal status, and for each Trace column the SHA-256 of its dtype string
+and raw bytes.  Two trees whose lines match produce bit-identical traces
+on the grid, so diffing this output is the byte-identity check for a change
+that should leave every trace as it was.  Start vectors and problem seeds
+follow the CLI: x0 = Rng(seed).uniform(dim), piecewise and logistic built
+at that seed, tolerance 1e-8 and the CLI's default iteration cap.
+
+Problems are ``lapN`` (the Laplacian on an N x N grid), ``piecewise`` and
+``logistic`` (builder defaults).
+
+Usage: python scripts/trace_digests.py [--problems lap43,lap87,lap178,piecewise,logistic]
+                                      [--methods gd,nag,tm,hnag,hnag_plus,hnag_box]
+                                      [--seeds 42,7]
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+
+import agmx
+from agmx import DivergenceError, MethodKind, SolverConfig, Trace, parse_method, solve
+
+COLUMNS = [f.name for f in dataclasses.fields(Trace) if f.name not in ("method", "status")]
+
+
+def build(name: str, seed: int):
+    if name.startswith("lap"):
+        return agmx.build_laplacian2d(int(name[3:]))
+    if name == "piecewise":
+        return agmx.ensure_minimizer(agmx.build_piecewise(seed=seed))
+    if name == "logistic":
+        return agmx.ensure_minimizer(agmx.build_logistic(seed=seed))
+    raise ValueError(f"unknown problem {name!r}")
+
+
+def digest(column) -> str:
+    return hashlib.sha256(column.dtype.str.encode() + b":" + column.tobytes()).hexdigest()
+
+
+def line(name: str, f, method: MethodKind, seed: int) -> str:
+    head = f"{name} {method.value} seed={seed}"
+    try:
+        trace = solve(f, SolverConfig(method=method), agmx.Rng(seed).uniform(f.dim))
+    except DivergenceError as err:
+        return f"{head} iterations={err.iteration} status=diverged"
+    cells = " ".join(f"{c}={digest(getattr(trace, c))}" for c in COLUMNS)
+    return f"{head} iterations={trace.iterations} status={trace.status.value} {cells}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--problems", default="lap43,lap87,lap178,piecewise,logistic")
+    parser.add_argument("--methods", default=",".join(m.value for m in MethodKind))
+    parser.add_argument("--seeds", default="42,7")
+    args = parser.parse_args()
+
+    methods = [parse_method(m) for m in args.methods.split(",")]
+    seeds = [int(s) for s in args.seeds.split(",")]
+    for name in args.problems.split(","):
+        for seed in seeds:
+            f = build(name, seed)
+            for method in methods:
+                print(line(name, f, method, seed), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

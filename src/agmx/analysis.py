@@ -201,9 +201,10 @@ def theoretical_rate(
 ) -> float:
     """Catalog of proven per-step rates under strong convexity.
 
-    GD and the momentum baselines are leading-order expressions; the
-    Hessian-driven entries are the exact contraction factors, with the
-    sharper quadratic/asymptotic factor selected by ``regime``.
+    GD and NAG are leading-order expressions; TM's is its exact asymptotic
+    squared-error factor (1 - 1/sqrt(kappa))^2 (Van Scoy, Freeman & Lynch
+    2018).  The Hessian-driven entries are the exact contraction factors,
+    with the sharper quadratic/asymptotic factor selected by ``regime``.
     """
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
@@ -215,7 +216,7 @@ def theoretical_rate(
     if method is MethodKind.NAG:
         return 1.0 - 1.0 / root
     if method is MethodKind.TM:
-        return max(0.0, 1.0 - 2.0 / root)
+        return (1.0 - 1.0 / root) ** 2
     if method is MethodKind.HNAG_PLUS:
         return 1.0 / (1.0 + 2.0 / root)
     if method in (MethodKind.HNAG, MethodKind.HNAG_BOX):

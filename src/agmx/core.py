@@ -24,6 +24,11 @@ class MinimizerUnknownError(RuntimeError):
     """Operation needs the minimizer but the objective has none attached."""
 
 
+def all_positive_zero(v: Vector) -> bool:
+    """True when every entry is +0.0, so x - v is x bit for bit (-0.0 is not)."""
+    return not (v.any() or np.signbit(v).any())
+
+
 class ObjectiveLike(Protocol):
     """Differentiable, mu-strongly convex, L-smooth objective.
 

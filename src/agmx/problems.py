@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .core import DimensionError, ObjectiveLike, Vector
+from .core import DimensionError, ObjectiveLike, Vector, all_positive_zero
 
 # SplitMix64 constants (Steele, Lea, Flood 2014). The k-th raw draw mixes
 # state0 + k * _GAMMA; uniforms take the top 53 bits.
@@ -154,12 +154,15 @@ def _gram_lambda_max(A: np.ndarray, tol: float) -> float:
 
 
 class QuadraticObjective:
-    """f(x) = 1/2 (x - c)^T A (x - c) for a sparse SPD matrix A (CSR)."""
+    """f(x) = 1/2 (x - c)^T A (x - c) for a sparse SPD matrix A (CSR); c is a
+    private read-only copy, and when it is all +0.0 the residual is x itself."""
 
     def __init__(self, matrix: sp.spmatrix, center: Vector, mu: float,
                  lipschitz: float, description: Optional[dict] = None):
         self.matrix = sp.csr_matrix(matrix)
-        self.center = np.asarray(center, dtype=np.float64)
+        self.center = np.array(center, dtype=np.float64)
+        self.center.flags.writeable = False
+        self._zero_center = all_positive_zero(self.center)
         self.dim = self.center.size
         self.mu = float(mu)
         self.lipschitz = float(lipschitz)
@@ -167,18 +170,23 @@ class QuadraticObjective:
         self.minimizer: Optional[Vector] = self.center
         self._description = description
 
+    def _residual(self, x: Vector) -> Vector:
+        if self._zero_center:
+            return np.ascontiguousarray(x, dtype=np.float64)
+        return x - self.center
+
     def value(self, x: Vector) -> float:
-        r = x - self.center
+        r = self._residual(x)
         return 0.5 * float(r @ (self.matrix @ r))
 
     def gradient(self, x: Vector) -> Vector:
-        return self.matrix @ (x - self.center)
+        return self.matrix @ self._residual(x)
 
     def value_and_gradient(self, x: Vector) -> tuple[float, Vector]:
         # g = A (x - c), so 1/2 (x - c) . g is value(x) bit for bit without
         # a second matvec
         g = self.gradient(x)
-        return 0.5 * float((x - self.center) @ g), g
+        return 0.5 * float(self._residual(x) @ g), g
 
     def description(self) -> dict:
         if self._description is None:

@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DimensionError, MinimizerUnknownError, ObjectiveLike, Vector
+from .core import (DimensionError, MinimizerUnknownError, ObjectiveLike, Vector,
+                   all_positive_zero)
 
 
 class MethodKind(enum.Enum):
@@ -365,7 +366,8 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
     fstar = f.value(xstar)
     mu = f.mu
     y_weight = mu if method is MethodKind.HNAG_PLUS else 0.5 * mu
-    dx, dy, tmp = (np.empty_like(state.x) for _ in range(3))
+    dx_buf, dy_buf, tmp = (np.empty_like(state.x) for _ in range(3))
+    zero_xstar = all_positive_zero(xstar)   # then x - x* is x bit for bit
 
     rows: list[tuple[float, ...]] = []   # one per step, in Trace field order
 
@@ -373,8 +375,9 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
         # squared quantities can overflow long before coordinates do; treat
         # that as divergence rather than recording infinities
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(st.x, xstar, out=dx)
-            np.subtract(_read_y(method, st, params, dy, tmp), xstar, out=dy)
+            dx, dy = st.x, _read_y(method, st, params, dy_buf, tmp)
+            if not zero_xstar:
+                dx, dy = np.subtract(dx, xstar, out=dx_buf), np.subtract(dy, xstar, out=dy_buf)
             f_gap = st.f_cache - fstar
             x_err = float(dx @ dx)
             y_err = float(dy @ dy)

@@ -15,7 +15,7 @@ from agmx.analysis import (
     measured_rate,
     theoretical_rate,
 )
-from agmx.solvers import DivergenceError, solve
+from agmx.solvers import DivergenceError, make_params, solve
 
 from _helpers import (
     count_calls_at_class,
@@ -273,10 +273,27 @@ class TestTheoreticalRate:
     def test_catalog_values(self):
         assert theoretical_rate(MethodKind.GD, 1.0) == 0.0
         assert theoretical_rate(MethodKind.NAG, 100.0) == pytest.approx(0.9)
-        assert theoretical_rate(MethodKind.TM, 100.0) == pytest.approx(0.8)
+        assert theoretical_rate(MethodKind.TM, 100.0) == pytest.approx(0.81)
         assert theoretical_rate(
             MethodKind.HNAG, 3150.0, RateRegime.QUADRATIC_OR_ASYMPTOTIC
         ) == pytest.approx(0.95202, abs=5e-6)
+
+    @pytest.mark.parametrize("kappa", [100.0, 785.0, 3150.0, 1e4])
+    def test_tm_entry_is_its_squared_mode_radius(self, kappa):
+        # TM on one Hessian mode lambda, from its make_params coefficients:
+        # xi' = (1 + b) xi - b xi_prev - a lambda y, y = (1 + g) xi - g xi_prev
+        mu = 1.0
+        a, b, g, _ = make_params(MethodKind.TM, mu, kappa * mu).tm_coeffs
+
+        def radius(lam):
+            m = np.array([[1.0 + b - a * lam * (1.0 + g), a * lam * g - b], [1.0, 0.0]])
+            return float(np.abs(np.linalg.eigvals(m)).max())
+
+        assert theoretical_rate(MethodKind.TM, kappa) == pytest.approx(radius(mu) ** 2,
+                                                                      rel=1e-12)
+        # lambda = mu attains the largest radius over [mu, L]
+        lams = np.linspace(mu, kappa * mu, 201)
+        assert max(map(radius, lams)) <= radius(mu) * (1.0 + 1e-12)
 
     def test_kappa_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import agmx
 from agmx import ShiftedObjective, bregman, bregman_asymmetry
-from agmx.core import DimensionError
+from agmx.core import DimensionError, all_positive_zero
 
 from _helpers import count_calls_at_class, diagonal_quadratic, quartic_1d
 
@@ -168,3 +168,17 @@ class TestValueAndGradient:
         calls = count_calls_at_class(monkeypatch, type(f), ops=("value", "gradient"))
         f.value_and_gradient(x)
         assert calls == expected
+
+
+class TestAllPositiveZero:
+    @pytest.mark.parametrize("v,expected", [
+        ([0.0, 0.0], True),
+        ([], True),
+        ([0.0, -0.0], False),
+        ([-0.0], False),
+        ([0.0, 5e-324], False),
+        ([np.nan], False),
+        ([0.0, np.inf], False),
+    ])
+    def test_only_plus_zero_entries(self, v, expected):
+        assert all_positive_zero(np.array(v, dtype=np.float64)) is expected

@@ -10,6 +10,7 @@ import agmx
 from agmx import Rng, build_laplacian2d, build_logistic, build_piecewise, problems, rebuild
 from agmx.problems import (
     EigenEstimateError,
+    QuadraticObjective,
     check_gradient,
     estimate_extreme_eigs,
     piecewise_h,
@@ -17,7 +18,7 @@ from agmx.problems import (
     piecewise_h_second,
 )
 
-from _helpers import reference_standard_normal, splitmix64_reference
+from _helpers import count_calls_at_class, reference_standard_normal, splitmix64_reference
 
 # sha256 over the streams of ``_stream_digest``, recorded from the allocating
 # implementation (numpy 2.4, x86-64); normals also depend on log1p/cos/sin.
@@ -126,6 +127,81 @@ class TestLaplacian2d:
         assert f.value(np.zeros(16)) == 0.0
         with pytest.raises(ValueError):
             build_laplacian2d(0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+# The centers the oracle must treat alike: only the first one skips x - c.
+QUAD_CENTERS = {
+    "plus_zero": np.zeros(9),
+    "minus_zero": np.full(9, -0.0),
+    "mixed_zero": np.array([0.0, -0.0] * 4 + [0.0]),
+    "random": Rng(5).standard_normal(9),
+}
+
+
+_TINY = np.finfo(np.float64).smallest_subnormal
+QUAD_INPUTS = {
+    "signed_zeros": np.array([0.0, -0.0] * 4 + [-0.0]),
+    "infinities": np.array([np.inf, -np.inf, 1.0, -0.0, 0.0, 2.0, -3.0, 0.5, 1.5]),
+    "nan": np.array([np.nan, 1.0, -0.0, 0.0, -np.nan, 2.0, 3.0, -1.0, 0.25]),
+    "subnormals": np.array([_TINY, -_TINY, 3 * _TINY, -0.0, 0.0, 1e-310, -2e-310, _TINY, 0.0]),
+    "random": Rng(6).standard_normal(9),
+}
+
+
+class TestQuadraticOracle:
+    """Bit for bit against the formulas with x - c written out."""
+
+    A = build_laplacian2d(3).matrix
+
+    @pytest.mark.parametrize("x_name", list(QUAD_INPUTS))
+    @pytest.mark.parametrize("c_name", list(QUAD_CENTERS))
+    def test_equals_the_written_out_formulas(self, c_name, x_name, monkeypatch):
+        c, x = QUAD_CENTERS[c_name], QUAD_INPUTS[x_name]
+        f = QuadraticObjective(self.A, c, 1.0, 2.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            r = x - c
+            g_ref = self.A @ r
+            v_ref = 0.5 * float(r @ (self.A @ r))
+            vg_ref = 0.5 * float(r @ g_ref)
+            assert _bits(f.value(x)) == _bits(v_ref)
+            assert np.array_equal(_bits(f.gradient(x)), _bits(g_ref))
+            calls = count_calls_at_class(monkeypatch, QuadraticObjective,
+                                         ops=("value", "gradient"))
+            value, grad = f.value_and_gradient(x)
+        assert _bits(value) == _bits(vg_ref)
+        assert np.array_equal(_bits(grad), _bits(g_ref))
+        assert calls == {"value": 0, "gradient": 1}
+
+    def test_strided_input_rounds_as_the_subtraction(self):
+        # x - c is contiguous, and a strided dot product can round differently
+        f = build_laplacian2d(17)
+        for seed in range(8):
+            x = Rng(seed).standard_normal(2 * f.dim)[::2]
+            r = x - np.zeros(f.dim)
+            g = f.matrix @ r
+            assert _bits(f.value(x)) == _bits(0.5 * float(r @ (f.matrix @ r)))
+            assert _bits(f.value_and_gradient(x)[0]) == _bits(0.5 * float(r @ g))
+
+    @pytest.mark.parametrize("c_name", list(QUAD_CENTERS))
+    def test_caller_writes_to_the_center_change_nothing(self, c_name):
+        c = QUAD_CENTERS[c_name].copy()
+        f = QuadraticObjective(self.A, c, 1.0, 2.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            before = [(f.value(x), f.gradient(x), *f.value_and_gradient(x))
+                      for x in QUAD_INPUTS.values()]
+            c[:] = 1.0
+            c[0] = -0.0
+            after = [(f.value(x), f.gradient(x), *f.value_and_gradient(x))
+                     for x in QUAD_INPUTS.values()]
+        for old, new in zip(before, after):
+            for a, b in zip(old, new):
+                assert np.array_equal(_bits(a), _bits(b))
+        assert np.array_equal(_bits(f.minimizer), _bits(QUAD_CENTERS[c_name]))
+        assert not f.center.flags.writeable
 
 
 class TestEstimateExtremeEigs:

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 
+from agmx import MethodKind
 from agmx.cli import COMPARISON_CSV_HEADER
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -33,6 +34,30 @@ def test_benchmark_laplacian_table():
         assert [row.split(",")[0] for row in rows] == ["hnag", "hnag_plus", "tm", "nag"]
     assert lines[-1] == ("# hnag iteration growth n=9->n=19: 1.798 "
                          "(kappa ratio ~4 -> ~2 expected)")
+
+
+def test_trace_digests_lap9():
+    # one line per method, and a rerun prints the same bytes
+    argv = [sys.executable, "scripts/trace_digests.py", "--problems", "lap9", "--seeds", "42"]
+    runs = [subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
+            for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    assert [line.split()[:3] for line in lines] == [["lap9", m.value, "seed=42"]
+                                                     for m in MethodKind]
+    for line in lines:
+        fields = dict(cell.split("=") for cell in line.split()[2:])
+        if fields["status"] == "diverged":
+            assert list(fields) == ["seed", "iterations", "status"]
+            continue
+        assert fields["status"] == "converged"
+        digests = list(fields.items())[3:]
+        assert [name for name, _ in digests] == [
+            "k", "f_gap", "grad_norm", "x_err_sq", "y_err_sq", "E", "E_shifted",
+            "grad_shifted_sq"]
+        assert all(re.fullmatch("[0-9a-f]{64}", value) for _, value in digests)
 
 
 def test_readme_library_example_runs():

@@ -320,11 +320,24 @@ def small_logistic():
     return agmx.ensure_minimizer(agmx.build_logistic(d=30, m=10, lam=1.0, seed=5))
 
 
+@pytest.fixture(scope="module")
+def centered_quadratic():
+    # a nonzero x*: the record subtracts it
+    return diagonal_quadratic(np.geomspace(1.0, 100.0, 30), agmx.Rng(3).standard_normal(30))
+
+
+@pytest.fixture(scope="module")
+def minus_zero_quadratic():
+    # x* = -0.0 is not all +0.0, so the record subtracts it too
+    return diagonal_quadratic(np.geomspace(1.0, 100.0, 30), np.full(30, -0.0))
+
+
 class TestBitIdenticalToReference:
     """solve() against the allocating reference step and record loop."""
 
     @pytest.mark.parametrize("method", list(MethodKind))
-    @pytest.mark.parametrize("problem", ["lap19", "small_piecewise", "small_logistic"])
+    @pytest.mark.parametrize("problem", ["lap19", "small_piecewise", "small_logistic",
+                                         "centered_quadratic", "minus_zero_quadratic"])
     def test_every_column_equal(self, problem, method, request):
         f = request.getfixturevalue(problem)
         x0 = agmx.Rng(42).uniform(f.dim)
