@@ -72,8 +72,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lipschitz", type=float, default=unset, help="piecewise smoothness")
     parser.add_argument("--eps", type=float, default=unset, help="piecewise layer width")
     parser.add_argument("--lam", type=float, default=unset, help="logistic regularizer")
-    parser.add_argument("--tol", type=float, default=1e-8, help="relative gradient tolerance")
-    parser.add_argument("--max-iter", type=int, default=10**6)
+    parser.add_argument("--tol", type=float, default=SolverConfig.tol_rel_grad,
+                        help="relative gradient tolerance")
+    parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", type=str, default=None)
 

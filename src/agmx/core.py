@@ -87,10 +87,7 @@ class ShiftedObjective(ObjectiveLike):
 
     def __init__(self, base: ObjectiveLike, shift: float, center: Vector):
         center = np.asarray(center, dtype=np.float64)
-        if center.shape != (base.dim,):
-            raise DimensionError(
-                f"center has shape {center.shape}, expected ({base.dim},)"
-            )
+        _check_dims(base, center)
         if not 0.0 <= shift <= base.mu:
             raise ValueError(f"shift must lie in [0, mu]; got {shift}")
         self.base = base

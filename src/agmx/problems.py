@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .core import DimensionError, ObjectiveLike, Vector, all_positive_zero
+from .core import ObjectiveLike, Vector, _check_dims, all_positive_zero
 
 # SplitMix64 constants (Steele, Lea, Flood 2014). The k-th raw draw mixes
 # state0 + k * _GAMMA; uniforms take the top 53 bits.
@@ -99,7 +99,8 @@ class Rng:
         return np.where(u < 0.5, 1.0, -1.0) if size is not None else (1.0 if u < 0.5 else -1.0)
 
 
-# Start-vector seed and iteration cap of every power iteration.
+# Start-vector seed and iteration cap of the power iterations of
+# estimate_extreme_eigs, their only user.
 _EIG_SEED = 0x51AB5EED
 _POWER_MAX_ITER = 100_000
 
@@ -144,13 +145,6 @@ def estimate_extreme_eigs(
     lam_max = _power_iteration(matvec, dim, tol, max_iter, rng)
     spread = _power_iteration(lambda v: lam_max * v - matvec(v), dim, tol, max_iter, rng)
     return lam_max - spread, lam_max
-
-
-def _gram_lambda_max(A: np.ndarray, tol: float) -> float:
-    """lambda_max(A^T A), bit for bit ``estimate_extreme_eigs(...)[1]``
-    without the lambda_min pass the builders do not use."""
-    return _power_iteration(lambda w: A.T @ (A @ w), A.shape[1], tol,
-                            _POWER_MAX_ITER, Rng(_EIG_SEED))
 
 
 class QuadraticObjective:
@@ -283,7 +277,8 @@ def build_piecewise(
     """Seeded piecewise problem; defaults mu=1, L=1e4, d=100, p=5, eps=1e-6.
 
     Stream order: the d*p entries of A (row-major), then the p entries of b;
-    A is then rescaled to spectral norm sqrt(L - mu).
+    A is then rescaled to spectral norm sqrt(L - mu), with lambda_max(A^T A)
+    from a dense symmetric eigensolve of the p x p Gram matrix.
     """
     if d < 1 or p < 1:
         raise ValueError("d and p must be >= 1")
@@ -296,7 +291,7 @@ def build_piecewise(
     rng = Rng(seed)
     A = rng.standard_normal((d, p))
     b = rng.standard_normal(p)
-    gram_max = _gram_lambda_max(A, 1e-13)
+    gram_max = float(np.linalg.eigvalsh(A.T @ A)[-1])
     A *= np.sqrt((lipschitz - mu) / gram_max)
     return PiecewiseSmoothObjective(
         A, b, mu, lipschitz, eps,
@@ -319,7 +314,8 @@ class LogisticObjective(ObjectiveLike):
     """l2-regularized logistic regression over m labelled columns a_i.
 
     f(x) = sum_i log(1 + exp(-b_i a_i . x)) + lam/2 ||x||^2, labels in {-1,+1}.
-    mu = lam, L = lambda_max(sum a_i a_i^T) + lam, and the Hessian is
+    mu = lam, L = lambda_max(sum a_i a_i^T) + lam (the builder takes it from
+    the eigenvalues of the m x m Gram matrix A^T A), and the Hessian is
     Lipschitz with constant 0.11 * sum ||a_i||^3.
     """
 
@@ -354,6 +350,8 @@ def build_logistic(
     """Seeded logistic problem; defaults lam=0.1, d=1000, m=50.
 
     Stream order: the d*m entries of A (row-major), then the m labels.
+    L is lam plus lambda_max(A^T A) from a dense symmetric eigensolve of the
+    m x m Gram matrix.
     """
     if d < 1 or m < 1:
         raise ValueError("d and m must be >= 1")
@@ -364,7 +362,7 @@ def build_logistic(
     rng = Rng(seed)
     A = rng.standard_normal((d, m))
     b = rng.signs(m)
-    gram_max = _gram_lambda_max(A, 1e-12)
+    gram_max = float(np.linalg.eigvalsh(A.T @ A)[-1])
     return LogisticObjective(
         A, b, lam, gram_max + lam,
         description={"kind": "logistic", "d": int(d), "m": int(m),
@@ -395,8 +393,7 @@ def check_gradient(f: ObjectiveLike, x: Vector) -> float:
     Step 1e-6 * (1 + ||x||); relative to 1 + |gradient coordinate|.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (f.dim,):
-        raise DimensionError(f"x has shape {x.shape}, expected ({f.dim},)")
+    _check_dims(f, x)
     g = f.gradient(x)
     h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
     worst = 0.0

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DimensionError, MinimizerUnknownError, ObjectiveLike, Vector,
+from .core import (MinimizerUnknownError, ObjectiveLike, Vector, _check_dims,
                    all_positive_zero)
 
 
@@ -164,8 +164,7 @@ def init_state(
 ) -> SolverState:
     """Matched initialization: internal variables start at x0 (v0 = alpha*x0)."""
     x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (f.dim,):
-        raise DimensionError(f"x0 has shape {x0.shape}, expected ({f.dim},)")
+    _check_dims(f, x0)
     if not np.isfinite(x0).all():
         raise ValueError("x0 must be finite")
     f0, g0 = f.value_and_gradient(x0)

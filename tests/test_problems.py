@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 import agmx
 from agmx import Rng, build_laplacian2d, build_logistic, build_piecewise, problems, rebuild
+from agmx.core import DimensionError
 from agmx.problems import (
     EigenEstimateError,
     QuadraticObjective,
@@ -229,47 +233,60 @@ class TestEstimateExtremeEigs:
 
 
 class TestBuilderEigenvalue:
-    """The builders run only the lambda_max power iteration, on the stream and
-    at the tolerance ``estimate_extreme_eigs`` uses, so L is the same bits."""
+    """The Gram builders take lambda_max(A^T A) from a dense eigensolve of the
+    small Gram matrix, so no builder runs a power iteration."""
 
-    @pytest.fixture
-    def power_calls(self, monkeypatch):
-        calls = []
-        original = problems._power_iteration
+    @pytest.mark.parametrize("kind", list(problems.BUILDERS))
+    def test_builds_without_power_iteration(self, kind, monkeypatch):
+        def refuse(*args):
+            raise EigenEstimateError("a builder ran a power iteration")
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        monkeypatch.setattr(problems, "_power_iteration", refuse)
+        with pytest.raises(EigenEstimateError):
+            estimate_extreme_eigs(lambda v: v, 2)
+        problems.BUILDERS[kind]()
 
-        monkeypatch.setattr(problems, "_power_iteration", counted)
-        return calls
-
-    @pytest.mark.parametrize("build", [build_piecewise, build_logistic])
-    def test_one_power_iteration(self, power_calls, build):
-        build()
-        assert len(power_calls) == 1
-
-    def test_laplacian_needs_none(self, power_calls):
-        build_laplacian2d(9)
-        assert power_calls == []
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_piecewise_scale_matches_estimate(self, seed):
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 42])
+    def test_piecewise_scale_is_the_dense_gram_top(self, seed):
         f = build_piecewise(seed=seed)
         A = Rng(seed).standard_normal((f.dim, f.p))
-        _, gram_max = estimate_extreme_eigs(lambda w: A.T @ (A @ w), f.p, tol=1e-13)
+        gram_max = np.linalg.eigvalsh(A.T @ A)[-1]
         assert f.A.tobytes() == (A * np.sqrt((f.lipschitz - f.mu) / gram_max)).tobytes()
-        again = rebuild(f.description())
-        assert again.A.tobytes() == f.A.tobytes() and again.b.tobytes() == f.b.tobytes()
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_logistic_lipschitz_matches_estimate(self, seed):
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 42])
+    def test_logistic_lipschitz_is_the_dense_gram_top(self, seed):
         f = build_logistic(seed=seed)
-        _, gram_max = estimate_extreme_eigs(lambda w: f.A.T @ (f.A @ w), f.m, tol=1e-12)
-        assert f.lipschitz == gram_max + f.lam
+        G = f.A.T @ f.A
+        gram_max = np.linalg.eigvalsh(G)[-1]
+        assert f.lipschitz == gram_max + f.lam and f.lipschitz - f.lam == gram_max
+        V = Rng(seed + 1).standard_normal((100, f.m))
+        rayleigh = np.einsum("ij,jk,ik->i", V, G, V) / np.einsum("ij,ij->i", V, V)
+        assert (f.lipschitz - f.lam >= rayleigh).all()
         again = rebuild(f.description())
         assert again.lipschitz == f.lipschitz
         assert again.A.tobytes() == f.A.tobytes() and again.b.tobytes() == f.b.tobytes()
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # A^T A is a BLAS product; the builders' outputs must not depend on
+        # how many threads compute it
+        script = (
+            "import hashlib, agmx\n"
+            "for seed in (0, 3, 42):\n"
+            "    for f in (agmx.build_piecewise(seed=seed), agmx.build_logistic(seed=seed)):\n"
+            "        h = hashlib.sha256(f.lipschitz.hex().encode() + f.A.tobytes())\n"
+            "        print(seed, type(f).__name__, h.hexdigest())\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(outputs[0].splitlines()) == 6
+        assert outputs[0] == outputs[1]
 
 
 class TestPiecewiseProblem:
@@ -277,10 +294,11 @@ class TestPiecewiseProblem:
         f = piecewise_default
         assert (f.mu, f.lipschitz, f.dim, f.p, f.eps) == (1.0, 1e4, 100, 5, 1e-6)
 
-    def test_spectral_norm_scaled(self, piecewise_default):
-        f = piecewise_default
+    @pytest.mark.parametrize("seed", [*range(32), 42, 2026])
+    def test_spectral_norm_scaled(self, seed):
+        f = build_piecewise(seed=seed)
         target = np.sqrt(f.lipschitz - f.mu)
-        assert abs(np.linalg.norm(f.A, 2) - target) <= 1e-8 * target
+        assert abs(np.linalg.norm(f.A, 2) - target) <= 1e-14 * target
 
     def test_gradient_is_linear_on_inactive_region(self, piecewise_default):
         f = piecewise_default
@@ -446,6 +464,11 @@ class TestCheckGradient:
     def test_quadratic_exact(self, lap9):
         x = Rng(61).standard_normal(lap9.dim)
         assert check_gradient(lap9, x) <= 1e-8
+
+    @pytest.mark.parametrize("shape", [(80,), (81, 1), ()])
+    def test_dimension_mismatch(self, lap9, shape):
+        with pytest.raises(DimensionError):
+            check_gradient(lap9, np.zeros(shape))
 
     def test_logistic_seeded_points(self, logistic_default):
         rng = Rng(62)

@@ -5,6 +5,7 @@ import pytest
 
 import agmx
 from agmx import MethodKind, SolverConfig, TerminalStatus
+from agmx.core import DimensionError
 from agmx.solvers import (
     DivergenceError,
     forms_deviation,
@@ -121,6 +122,15 @@ class TestFixedPoint:
         for _ in range(100):
             st = step(method, st, f, p)
         assert np.max(np.abs(st.x - f.minimizer)) <= 1e-14
+
+
+class TestInitState:
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_wrong_shape_start_rejected(self, method, lap9):
+        p = make_params(method, lap9.mu, lap9.lipschitz)
+        for x0 in (np.zeros(80), np.zeros((81, 1)), np.float64(0.0)):
+            with pytest.raises(DimensionError):
+                init_state(method, lap9, x0, p)
 
 
 class TestGradientEvaluationCount:
