@@ -15,12 +15,11 @@ sys.path.insert(0, "src")
 
 import agmx
 from agmx import (
+    CHECKS,
     ContractionTheorem,
     LyapunovKind,
     SolverConfig,
-    check_method,
     contraction_residuals,
-    flow_beta,
     shift_schedule,
     solve,
     strong_lyapunov_sweep,
@@ -47,13 +46,13 @@ def main() -> int:
     for name, f in problems.items():
         x0 = agmx.Rng(args.seed).uniform(f.dim)
         for theorem in (ContractionTheorem.THM_HNAG_FUNCVAL, ContractionTheorem.THM_HNAG_PLUS):
-            trace = solve(f, SolverConfig(method=check_method(theorem.value)), x0)
+            trace = solve(f, SolverConfig(method=CHECKS[theorem.value][1]), x0)
             rep = contraction_residuals(theorem, trace, f)
             report(rep.passes(), f"{theorem.value} on {name}",
                    f"{trace.iterations} iters, "
                    f"viol/E0={rep.max_violation / rep.initial_energy:.2e}")
         if name.startswith("laplacian"):
-            method = check_method(ContractionTheorem.PROP_QUADRATIC.value)
+            method = CHECKS[ContractionTheorem.PROP_QUADRATIC.value][1]
             trace = solve(f, SolverConfig(method=method), x0)
             rep = contraction_residuals(ContractionTheorem.PROP_QUADRATIC, trace, f)
             report(rep.passes(), f"prop_quadratic on {name}",
@@ -67,8 +66,8 @@ def main() -> int:
     ]
     for name, f in problems.items():
         for kind, frac in sweeps:
-            rep = strong_lyapunov_sweep(kind, f, flow_beta(kind, f), agmx.Rng(args.seed),
-                                        100, (1e-2, 1.0, 50.0), frac * f.mu)
+            rep = strong_lyapunov_sweep(kind, f, agmx.Rng(args.seed), 100,
+                                        (1e-2, 1.0, 50.0), frac * f.mu)
             tag = kind.value if frac == 0.0 else f"{kind.value}(mu_hat={frac}mu)"
             report(rep.passes(), f"{tag} sweep on {name}",
                    f"worst margin {rep.worst_margin:.2e}")

@@ -31,7 +31,6 @@ from .lyapunov import (
     ShiftSchedule,
     SweepReport,
     asymmetry_bound_check,
-    check_method,
     contraction_residuals,
     flow_beta,
     lyapunov,

@@ -193,7 +193,7 @@ def measured_rate(trace: Trace) -> float:
 
 class RateRegime(enum.Enum):
     GENERAL = "general"
-    QUADRATIC_OR_ASYMPTOTIC = "quadratic_or_asymptotic"
+    QUADRATIC_OR_ASYMPTOTIC = "asymptotic"
 
 
 def theoretical_rate(

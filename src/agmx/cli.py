@@ -27,10 +27,7 @@ from .analysis import RateRegime
 from .lyapunov import (  # noqa: F401  strong_lyapunov_terms: bench/instrument.py wraps it
     CHECKS,
     ContractionTheorem,
-    LyapunovKind,
-    check_method,
     contraction_residuals,
-    flow_beta,
     strong_lyapunov_sweep,
     strong_lyapunov_terms,
 )
@@ -45,10 +42,6 @@ _RATES_HEADER = "method,kappa,rate_general,rate_special"
 _USAGE_ERROR = 1
 _NOT_CONVERGED = 2
 _DIVERGED = 3
-
-# --regime values and the rate regime each selects
-_REGIMES = {"general": RateRegime.GENERAL,
-            "asymptotic": RateRegime.QUADRATIC_OR_ASYMPTOTIC}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,14 +86,12 @@ def build_parser() -> _Parser:
     p_cmp.add_argument("--methods", type=str, required=True,
                        help="comma-separated list, e.g. gd,nag,tm,hnagpp")
     for p in (p_run, p_cmp):
-        p.add_argument("--regime", choices=list(_REGIMES), default="general")
+        p.add_argument("--regime", choices=[r.value for r in RateRegime],
+                       default=RateRegime.GENERAL.value)
 
     p_diag = sub.add_parser("diagnose", help="verify a contraction theorem or sweep")
     _add_common(p_diag)
-    p_diag.add_argument("--check", type=str, required=True,
-                        help="thm_hnag_funcval | thm_hnag_plus | prop_quadratic | "
-                             "strong_hnag | strong_hnag_plus | strong_partial")
-    p_diag.add_argument("--method", type=str, default=None)
+    p_diag.add_argument("--check", type=str, required=True, help=" | ".join(CHECKS))
     p_diag.add_argument("--mu-hat-frac", type=float, default=0.5,
                         help="partial-shift fraction of mu for strong_partial, in [0, 1]")
     p_diag.add_argument("--states", type=int, default=100,
@@ -203,7 +194,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "iterations": trace.iterations,
         "status": trace.status.value,
         "measured_rate": _json_value(analysis.measured_rate(trace)),
-        "theoretical_rate": analysis.theoretical_rate(method, kappa, _REGIMES[args.regime]),
+        "theoretical_rate": analysis.theoretical_rate(method, kappa, RateRegime(args.regime)),
     }
     print(json.dumps(summary))
     return 0 if trace.status is TerminalStatus.CONVERGED else _NOT_CONVERGED
@@ -215,7 +206,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError("compare needs at least 2 methods")
     methods = [solvers.parse_method(s) for s in names]
     f, x0, config, _ = _setup(args, methods[0])
-    rows = analysis.compare(f, methods, config, x0, regime=_REGIMES[args.regime])
+    rows = analysis.compare(f, methods, config, x0, regime=RateRegime(args.regime))
     _write_out(args.out, comparison_table(rows, args.format))
     all_converged = all(r.status == TerminalStatus.CONVERGED.value for r in rows)
     return 0 if all_converged else _NOT_CONVERGED
@@ -232,8 +223,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         raise ValueError(f"--states must be >= 1, got {args.states}")
     if not 0.0 <= args.mu_hat_frac <= 1.0:
         raise ValueError(f"--mu-hat-frac must lie in [0, 1], got {args.mu_hat_frac}")
-    target = CHECKS[check][0]
-    method = check_method(check, args.method)
+    target, method = CHECKS[check]
     if target is ContractionTheorem.PROP_QUADRATIC and args.problem != "laplacian2d":
         raise ValueError("prop_quadratic needs a quadratic problem (laplacian2d)")
     f, x0, config, seed = _setup(args, method)
@@ -251,10 +241,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             "pass": ok,
         }
     else:
-        mu_hat = args.mu_hat_frac * f.mu if target is LyapunovKind.E_PARTIAL else 0.0
-        report = strong_lyapunov_sweep(target, f, flow_beta(target, f),
-                                       problems.Rng(seed + 1), args.states,
-                                       _SWEEP_SCALES, mu_hat)
+        # only E_PARTIAL's energy and bound read mu_hat
+        report = strong_lyapunov_sweep(target, f, problems.Rng(seed + 1), args.states,
+                                       _SWEEP_SCALES, args.mu_hat_frac * f.mu)
         ok = report.passes()
         summary = {
             "check": check, "states": args.states,
@@ -275,7 +264,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     kappas = [float(s) for s in args.kappas.split(",") if s.strip()]
     if not methods or not kappas:
         raise ValueError("rates needs at least 1 method and 1 kappa")
-    rows = [(m.value, k, *(analysis.theoretical_rate(m, k, r) for r in _REGIMES.values()))
+    rows = [(m.value, k, *(analysis.theoretical_rate(m, k, r) for r in RateRegime))
             for m in methods for k in kappas]
     _write_out(args.out, format_table(_RATES_HEADER, rows, args.format))
     return 0

@@ -30,19 +30,13 @@ from .core import (  # noqa: F401  bregman: bench/instrument.py wraps this bindi
     bregman_asymmetry,
 )
 from .problems import Rng
-from .solvers import MethodKind, Trace, make_params, parse_method
+from .solvers import MethodKind, Trace, make_params
 
 
 class LyapunovKind(enum.Enum):
     E_HNAG = "e_hnag"
     E_HNAG_PLUS = "e_hnag_plus"
     E_PARTIAL = "e_partial"
-
-
-def _minimizer(f: ObjectiveLike) -> Vector:
-    if f.minimizer is None:
-        raise MinimizerUnknownError("objective has no minimizer attached")
-    return np.asarray(f.minimizer, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,9 @@ class Anchor:
 
 def minimizer_anchor(f: ObjectiveLike) -> Anchor:
     """x* with one ``value_and_gradient`` call there."""
-    xstar = _minimizer(f)
+    if f.minimizer is None:
+        raise MinimizerUnknownError("objective has no minimizer attached")
+    xstar = np.asarray(f.minimizer, dtype=np.float64)
     fstar, gstar = f.value_and_gradient(xstar)
     return Anchor(xstar, fstar, gstar)
 
@@ -188,21 +184,22 @@ class SweepReport:
 def strong_lyapunov_sweep(
     kind: LyapunovKind,
     f: ObjectiveLike,
-    beta: float,
     rng: Rng,
     states: int,
     scales: Sequence[float],
     mu_hat: float = 0.0,
 ) -> SweepReport:
-    """Check the dissipation inequality at ``states`` random states.
+    """Check the dissipation inequality of kind's flow at ``states`` random states.
 
-    State i draws x = x* + s z and then y = x* + s z' from ``rng`` with
-    standard-normal z, z' and s = scales[i % len(scales)].  x* is anchored
-    once, so each state costs one ``value_and_gradient`` call.
+    The flow's beta is ``flow_beta(kind, f)``.  State i draws x = x* + s z
+    and then y = x* + s z' from ``rng`` with standard-normal z, z' and
+    s = scales[i % len(scales)].  x* is anchored once, so each state costs
+    one ``value_and_gradient`` call.
     """
     if states < 1:
         raise ValueError(f"states must be >= 1, got {states}")
     a = minimizer_anchor(f)
+    beta = flow_beta(kind, f)
     lhs = np.empty(states)
     rhs = np.empty(states)
     for i in range(states):
@@ -241,14 +238,6 @@ CHECKS: dict[str, tuple[ContractionTheorem | LyapunovKind, MethodKind]] = {
     "strong_partial": (LyapunovKind.E_PARTIAL, MethodKind.HNAG),
 }
 _CHECK_METHOD = {target: method for target, method in CHECKS.values()}
-
-
-def check_method(check: str, method: Optional[str] = None) -> MethodKind:
-    """The method a named check applies to; ``method``, if given, must resolve to it."""
-    required = CHECKS[check][1]
-    if method is not None and parse_method(method) is not required:
-        raise ValueError(f"{check} applies to method '{required.value}', not '{method}'")
-    return required
 
 
 def flow_beta(kind: LyapunovKind, f: ObjectiveLike) -> float:
@@ -346,14 +335,12 @@ _A_MAX = 0.75 * (np.sqrt(2.0) - 1.0)
 class ShiftSchedule:
     """Analysis-only shift sequences, normalized so mu = 1.
 
-    delta[k] decays geometrically from delta0, mu_k = 1 - delta[k] rises to 1,
+    delta[k] decays geometrically from delta[0], mu_k = 1 - delta[k] rises to 1,
     c[k] = 2 - sqrt(delta[k]) rises to 2, and the step contraction factors
     r[k] = 1/(1 + c[k] sqrt(2 rho)) fall to the limit 1/(1 + 2 sqrt(2 rho)).
     No solver consumes these; they certify the boosted-rate bookkeeping.
     """
 
-    delta0: float
-    a: float
     rho: float
     delta: np.ndarray
     mu_k: np.ndarray
@@ -392,8 +379,7 @@ def shift_schedule(delta0: float, a: float, rho: float, k_max: int) -> ShiftSche
     admissible = bool(r[0] < (1.0 + u) ** -1.5)
     margin = (1.0 - r[0]) - 2.0 * (1.0 - decay)
     return ShiftSchedule(
-        delta0=delta0, a=a, rho=rho,
-        delta=delta, mu_k=mu_k, c=c, r=r,
+        rho=rho, delta=delta, mu_k=mu_k, c=c, r=r,
         admissible=admissible,
         cancellation_ok=bool(margin >= 0.0),
     )

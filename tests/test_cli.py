@@ -15,7 +15,6 @@ from agmx import (
     cli,
     contraction_residuals,
     ensure_minimizer,
-    flow_beta,
     solve,
     strong_lyapunov_sweep,
     theoretical_rate,
@@ -79,21 +78,11 @@ class TestErrorPaths:
         (["run", *LAP9, "--method", "nosuch", "--out", "@OUT"], "unknown method 'nosuch'"),
         (["compare", *LAP9, "--methods", "gd,nosuch"], "unknown method 'nosuch'"),
         (["rates", "--methods", "gd,nosuch"], "unknown method 'nosuch'"),
-        (["diagnose", *LAP9, "--check", "strong_hnag", "--method", "nosuch"],
-         "unknown method 'nosuch'"),
         (["compare", *LAP9, "--methods", "gd"], "compare needs at least 2 methods"),
         (["compare", *LAP9, "--methods", "gd,,"], "compare needs at least 2 methods"),
         (["diagnose", *LAP9, "--check", "nosuch"], "unknown check 'nosuch'"),
         (["diagnose", *PIECEWISE, "--d", "20", "--check", "prop_quadratic"],
          "prop_quadratic needs a quadratic problem (laplacian2d)"),
-        (["diagnose", *LAP9, "--check", "thm_hnag_plus", "--method", "gd"],
-         "thm_hnag_plus applies to method 'hnag_plus', not 'gd'"),
-        (["diagnose", *LAP9, "--check", "strong_hnag", "--method", "nag"],
-         "strong_hnag applies to method 'hnag', not 'nag'"),
-        (["diagnose", *LAP9, "--check", "strong_partial", "--method", "hnagplus"],
-         "strong_partial applies to method 'hnag', not 'hnagplus'"),
-        (["diagnose", *LAP9, "--check", "strong_hnag_plus", "--method", "hnag"],
-         "strong_hnag_plus applies to method 'hnag_plus', not 'hnag'"),
         (["diagnose", *LAP9, "--check", "strong_hnag", "--states", "0"],
          "--states must be >= 1, got 0"),
         (["diagnose", *LAP9, "--check", "strong_hnag", "--states", "-3"],
@@ -378,11 +367,12 @@ class TestDiagnose:
         assert out.read_text().splitlines()[0] == "k,lhs,rhs,residual"
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
-    def test_sweep_accepts_method_alias(self, capsys):
-        rc = run_cli(["diagnose", *LAP9, "--check", "strong_hnag_plus",
-                      "--method", "hnagplus", "--states", "4"])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["pass"] is True
+    def test_method_flag_is_gone(self, capsys):
+        # the check fixes the method, so diagnose takes no --method
+        rc = run_cli(["diagnose", *LAP9, "--check", "strong_hnag", "--method", "hnag"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "--method" in err
 
     @pytest.mark.parametrize("problem,seed", [("piecewise", 42), ("logistic", 42),
                                               ("logistic", 7)])
@@ -468,8 +458,8 @@ class TestOutputFormat:
             report = contraction_residuals(ContractionTheorem.THM_HNAG_PLUS, trace, f)
         else:
             kind = LyapunovKind.E_PARTIAL
-            report = strong_lyapunov_sweep(kind, f, flow_beta(kind, f), Rng(6), 7,
-                                           (1e-3, 1e-1, 1.0, 10.0), 0.5 * f.mu)
+            report = strong_lyapunov_sweep(kind, f, Rng(6), 7, (1e-3, 1e-1, 1.0, 10.0),
+                                           0.5 * f.mu)
         header, columns = read_csv(out)
         assert header == ["k", "lhs", "rhs", "residual"]
         for parsed, column in zip(columns, (report.k, report.lhs, report.rhs,

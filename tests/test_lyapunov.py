@@ -12,7 +12,6 @@ from agmx import (
     MethodKind,
     SolverConfig,
     asymmetry_bound_check,
-    check_method,
     contraction_residuals,
     flow_beta,
     lyapunov,
@@ -191,8 +190,9 @@ class TestSharedAnchor:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sweep_equals_reference_loop(self, lap19, kind):
+        # the sweep checks kind's own flow: the reference runs at flow_beta
         f, mu_hat, beta = lap19, 0.5 * lap19.mu, flow_beta(kind, lap19)
-        rep = strong_lyapunov_sweep(kind, f, beta, agmx.Rng(3), 10, SCALES, mu_hat)
+        rep = strong_lyapunov_sweep(kind, f, agmx.Rng(3), 10, SCALES, mu_hat)
         rng = agmx.Rng(3)
         margins = []
         for i in range(10):
@@ -208,8 +208,8 @@ class TestSharedAnchor:
 
     def test_sweep_makes_one_oracle_call_per_state(self, lap9, monkeypatch):
         calls = count_calls_at_class(monkeypatch, agmx.QuadraticObjective)
-        rep = strong_lyapunov_sweep(LyapunovKind.E_PARTIAL, lap9, 1.0 / lap9.lipschitz,
-                                    agmx.Rng(1), 100, SCALES, 0.5 * lap9.mu)
+        rep = strong_lyapunov_sweep(LyapunovKind.E_PARTIAL, lap9, agmx.Rng(1), 100,
+                                    SCALES, 0.5 * lap9.mu)
         assert len(rep.k) == 100
         # 100 states plus the anchor at x*; the quadratic's value_and_gradient
         # makes its one gradient call and reads the value off it
@@ -218,8 +218,7 @@ class TestSharedAnchor:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_generic_objective_pays_one_value_and_one_gradient(self, lap9, kind):
         f = CountingObjective(lap9)
-        strong_lyapunov_sweep(kind, f, flow_beta(kind, f), agmx.Rng(1), 20, SCALES,
-                              0.5 * f.mu)
+        strong_lyapunov_sweep(kind, f, agmx.Rng(1), 20, SCALES, 0.5 * f.mu)
         assert (f.value_calls, f.grad_calls) == (21, 21)
 
     def test_single_state_call_anchors_itself(self, lap9, monkeypatch):
@@ -231,8 +230,7 @@ class TestSharedAnchor:
     @pytest.mark.parametrize("states", [0, -3])
     def test_sweep_needs_a_state(self, lap9, states):
         with pytest.raises(ValueError, match="states"):
-            strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap9, 1.0, agmx.Rng(1),
-                                  states, SCALES)
+            strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap9, agmx.Rng(1), states, SCALES)
 
     def test_nan_state_fails_the_sweep(self):
         # a NaN margin used to be skipped, so an unevaluable sweep passed
@@ -244,7 +242,7 @@ class TestSharedAnchor:
 
         f = agmx.SimpleObjective(lambda x: 0.5 * float(x @ x), grad, dim=3, mu=1.0,
                                  lipschitz=1.0, minimizer=np.zeros(3))
-        rep = strong_lyapunov_sweep(LyapunovKind.E_HNAG, f, 1.0, agmx.Rng(1), 5, SCALES)
+        rep = strong_lyapunov_sweep(LyapunovKind.E_HNAG, f, agmx.Rng(1), 5, SCALES)
         assert rep.worst_k == 2          # the anchor takes the first gradient
         assert np.isnan(rep.worst_margin)
         assert not rep.passes()
@@ -256,9 +254,7 @@ class TestSharedAnchor:
                          "--check", "strong_hnag", "--states", "3", "--seed", "0",
                          "--out", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
-        rep = strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap9,
-                                    flow_beta(LyapunovKind.E_HNAG, lap9),
-                                    agmx.Rng(1), 3, SCALES)
+        rep = strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap9, agmx.Rng(1), 3, SCALES)
         lines = out.read_text().splitlines()
         assert lines[0] == "k,lhs,rhs,residual"
         lhs, rhs, res = (float(v[0]) for v in (rep.lhs, rep.rhs, rep.residuals))
@@ -272,15 +268,14 @@ class TestCheckMethods:
             "strong_hnag", "strong_hnag_plus", "strong_partial"}
         targets = [t for t, _ in CHECKS.values()]
         assert set(targets) == set(ContractionTheorem) | set(LyapunovKind)
-        for check, (_, method) in CHECKS.items():
-            assert check_method(check) is method
-            assert check_method(check, method.value) is method
-
-    def test_alias_accepted_and_mismatch_rejected(self):
-        assert check_method("strong_hnag_plus", "hnagplus") is MethodKind.HNAG_PLUS
-        assert check_method("strong_hnag", "HNAGPP") is MethodKind.HNAG
-        with pytest.raises(ValueError, match="strong_hnag applies to method 'hnag', not 'nag'"):
-            check_method("strong_hnag", "nag")
+        assert {check: method for check, (_, method) in CHECKS.items()} == {
+            "thm_hnag_funcval": MethodKind.HNAG,
+            "thm_hnag_plus": MethodKind.HNAG_PLUS,
+            "prop_quadratic": MethodKind.HNAG,
+            "strong_hnag": MethodKind.HNAG,
+            "strong_hnag_plus": MethodKind.HNAG_PLUS,
+            "strong_partial": MethodKind.HNAG,
+        }
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_flow_beta(self, lap9, kind):
