@@ -26,6 +26,7 @@ from .core import (  # noqa: F401  bregman: bench/instrument.py wraps this bindi
     ObjectiveLike,
     Vector,
     _check_dims,
+    all_positive_zero,
     bregman,
     bregman_asymmetry,
 )
@@ -44,12 +45,14 @@ class Anchor:
     """The minimizer x* with f(x*) and grad f(x*), evaluated once.
 
     Every energy is a Bregman divergence to x*, so a sweep over many states
-    computes this once and shares it.
+    computes this once and shares it.  ``zero``: x* is all +0.0, so x - x*
+    is x bit for bit.
     """
 
     xstar: Vector
     fstar: float
     gstar: Vector
+    zero: bool = False
 
 
 def minimizer_anchor(f: ObjectiveLike) -> Anchor:
@@ -58,7 +61,7 @@ def minimizer_anchor(f: ObjectiveLike) -> Anchor:
         raise MinimizerUnknownError("objective has no minimizer attached")
     xstar = np.asarray(f.minimizer, dtype=np.float64)
     fstar, gstar = f.value_and_gradient(xstar)
-    return Anchor(xstar, fstar, gstar)
+    return Anchor(xstar, fstar, gstar, all_positive_zero(xstar))
 
 
 def _shifted_bregman(fx: float, dx: Vector, a: Anchor, shift: float) -> float:
@@ -90,6 +93,9 @@ def _energy(fx: float, dx: Vector, dy: Vector, a: Anchor, shift: float,
     return _shifted_bregman(fx, dx, a, shift) + y_weight * float(dy @ dy)
 
 
+_SCRATCH_ROWS = 6   # the d-vectors of strong_lyapunov_terms
+
+
 def lyapunov(
     kind: LyapunovKind,
     f: ObjectiveLike,
@@ -103,7 +109,7 @@ def lyapunov(
     ``E_HNAG_PLUS`` and ignored for ``E_HNAG``).
     """
     a = minimizer_anchor(f)
-    _check_dims(f, x)
+    _check_dims(f, x, y)
     shift, y_weight = _weights(kind, f.mu, mu_hat)
     return _energy(f.value(x), x - a.xstar, y - a.xstar, a, shift, y_weight)
 
@@ -117,6 +123,7 @@ def strong_lyapunov_terms(
     mu_hat: float = 0.0,
     *,
     anchor: Optional[Anchor] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> tuple[float, float]:
     """(-<grad E, G>, proven lower bound) at the state (x, y).
 
@@ -125,36 +132,47 @@ def strong_lyapunov_terms(
     ``lhs >= rhs`` certifies the dissipation inequality at this state up to
     roundoff only.  The state costs one ``value_and_gradient`` call; without
     a precomputed ``anchor`` (see ``minimizer_anchor``) x* costs another.
+    Every d-vector is formed in ``scratch``, a (6, d) block that a sweep
+    allocates once; a call without one allocates its own.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     a = minimizer_anchor(f) if anchor is None else anchor
-    _check_dims(f, x)
+    _check_dims(f, x, y)
     mu = f.mu
     shift, y_weight = _weights(kind, mu, mu_hat)
     fx, g = f.value_and_gradient(x)
     xstar = a.xstar
-    dx = x - xstar
-    dy = y - xstar
+    w = np.empty((_SCRATCH_ROWS, f.dim)) if scratch is None else scratch
+    if a.zero:   # dx, dy alias x, y (contiguous, as a difference is): never written
+        dx, dy = np.ascontiguousarray(x, float), np.ascontiguousarray(y, float)
+    else:
+        dx, dy = np.subtract(x, xstar, out=w[0]), np.subtract(y, xstar, out=w[1])
     energy = _energy(fx, dx, dy, a, shift, y_weight)
 
     # grad E = (g - shift dx, 2 y_weight dy); the flow is
     # G = (c (y - x) - beta g, (x - y) - g / mu) with c = 2 for HNAG+, else 1
     plus = kind is LyapunovKind.E_HNAG_PLUS
-    gsh = g if kind is LyapunovKind.E_HNAG else g - shift * dx
-    flow_x = (2.0 * (y - x) if plus else y - x) - beta * g
-    flow_y = (x - y) - g / mu
-    lhs = -(float(gsh @ flow_x) + float(((2.0 * y_weight) * dy) @ flow_y))
+    gsh = g if kind is LyapunovKind.E_HNAG else np.subtract(
+        g, np.multiply(shift, dx, out=w[2]), out=w[2])
+    flow_x = np.subtract(y, x, out=w[3])
+    if plus:
+        flow_x *= 2.0
+    flow_x -= np.multiply(beta, g, out=w[4])
+    lhs_x = float(gsh @ flow_x)
+    x_minus_y = np.subtract(x, y, out=w[3])
+    flow_y = np.subtract(x_minus_y, np.divide(g, mu, out=w[4]), out=w[4])
+    lhs = -(lhs_x + float(np.multiply(2.0 * y_weight, dy, out=w[5]) @ flow_y))
 
     if kind is LyapunovKind.E_HNAG:
-        rhs = energy + beta * float(g @ g) + 0.5 * mu * float((x - y) @ (x - y))
+        rhs = energy + beta * float(g @ g) + 0.5 * mu * float(x_minus_y @ x_minus_y)
         return float(lhs), float(rhs)
     if plus:
         head = 2.0 * energy
     else:
         # E_PARTIAL; D_f(x*, x) - D_f(x, x*) as ``bregman_asymmetry`` forms it
         root = np.sqrt((mu - mu_hat) / mu)
-        asymmetry = ((a.fstar - fx - float(g @ (xstar - x)))
+        asymmetry = ((a.fstar - fx - float(g @ np.subtract(xstar, x, out=w[5])))
                      - _shifted_bregman(fx, dx, a, 0.0))
         head = (2.0 - root) * energy + (1.0 - root) * asymmetry
     rhs = head + beta * float(gsh @ gsh) + beta * shift * float(gsh @ dx)
@@ -202,11 +220,14 @@ def strong_lyapunov_sweep(
     beta = flow_beta(kind, f)
     lhs = np.empty(states)
     rhs = np.empty(states)
+    scratch = np.empty((_SCRATCH_ROWS, f.dim))
     for i in range(states):
         scale = scales[i % len(scales)]
-        x = a.xstar + scale * rng.standard_normal(f.dim)
-        y = a.xstar + scale * rng.standard_normal(f.dim)
-        lhs[i], rhs[i] = strong_lyapunov_terms(kind, f, x, y, beta, mu_hat, anchor=a)
+        x, y = rng.standard_normal(f.dim), rng.standard_normal(f.dim)
+        for z in (x, y):    # x* + scale z, formed in z's own buffer
+            np.add(a.xstar, np.multiply(scale, z, out=z), out=z)
+        lhs[i], rhs[i] = strong_lyapunov_terms(kind, f, x, y, beta, mu_hat,
+                                               anchor=a, scratch=scratch)
     residuals = lhs - rhs
     margins = residuals + 1e-12 * (1.0 + np.abs(lhs))
     # the first smallest margin, or the first NaN, which then fails the sweep

@@ -8,14 +8,18 @@ constants pinned below, so the same seed rebuilds the same problem bit for
 bit on any platform.  Consumption order is documented per builder; matrices
 are regenerated from {kind, dims, seed, parameters} descriptions rather than
 stored (see :func:`rebuild`).
+
+Only numpy is imported: the Laplacian is a matrix-free stencil, and scipy
+loads for a quadratic's ``.matrix`` or a sparse or dense input.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
+import functools
+
 import numpy as np
-import scipy.sparse as sp
 
 from .core import ObjectiveLike, Vector, _check_dims, all_positive_zero
 
@@ -147,13 +151,65 @@ def estimate_extreme_eigs(
     return lam_max - spread, lam_max
 
 
-class QuadraticObjective:
-    """f(x) = 1/2 (x - c)^T A (x - c) for a sparse SPD matrix A (CSR); c is a
-    private read-only copy, and when it is all +0.0 the residual is x itself."""
+class _Stencil5:
+    """The 5-point Laplacian on the flat n x n grid, matrix-free.
 
-    def __init__(self, matrix: sp.spmatrix, center: Vector, mu: float,
+    ``A @ x`` rounds each row as the CSR matvec of the kron build does: the
+    sum starts at +0.0 and adds the products with -1/h^2 and 4/h^2 in column
+    order i-n, i-1, i, i+1, i+n.  Each call allocates only its result.  (For
+    n in 2..5 the kron build also stores explicit zeros: they change no
+    finite result, but their 0 * inf products are NaN.)
+    """
+
+    def __init__(self, n: int, h: float):
+        self.n, self.h = n, h
+        self._off, self._diag = -1.0 / h**2, 4.0 / h**2
+        # off * x; diag * x, which also holds the saved edge entries
+        self._t, self._s = np.empty(n * n), np.empty(n * n)
+
+    def __matmul__(self, x: Vector) -> Vector:
+        n, t, s, d = self.n, self._t, self._s, self._t.size
+        out = np.zeros(d)
+        # whole-array contiguous passes; the CSR loop is silent on inf and NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(x, self._off, out=t)
+            out[n:] += t[:d - n]
+            # a +-1 shift wraps across grid rows: restore the first or the
+            # last column, which has no such neighbour
+            s[:n] = out[::n]
+            out[1:] += t[:d - 1]
+            out[::n] = s[:n]
+            out += np.multiply(x, self._diag, out=s)
+            s[:n] = out[n - 1::n]
+            out[:d - 1] += t[1:]
+            out[n - 1::n] = s[:n]
+            out[:d - n] += t[n:]
+        return out
+
+    def tocsr(self):
+        """The kron-built CSR matrix."""
+        import scipy.sparse as sp
+
+        K = sp.diags([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(self.n, self.n))
+        eye = sp.identity(self.n)
+        return sp.csr_matrix(((sp.kron(eye, K) + sp.kron(K, eye)) / self.h**2).tocsr())
+
+
+class QuadraticObjective:
+    """f(x) = 1/2 (x - c)^T A (x - c) for an SPD A; c is a private read-only
+    copy, and when it is all +0.0 the residual is x itself.
+
+    A sparse or dense ``matrix`` is held as scipy CSR; the Laplacian's
+    matrix-free stencil is used as it is.
+    """
+
+    def __init__(self, matrix, center: Vector, mu: float,
                  lipschitz: float, description: Optional[dict] = None):
-        self.matrix = sp.csr_matrix(matrix)
+        self._op = matrix
+        if not isinstance(matrix, _Stencil5):
+            import scipy.sparse as sp
+
+            self._op = self.matrix = sp.csr_matrix(matrix)
         self.center = np.array(center, dtype=np.float64)
         self.center.flags.writeable = False
         self._zero_center = all_positive_zero(self.center)
@@ -164,6 +220,11 @@ class QuadraticObjective:
         self.minimizer: Optional[Vector] = self.center
         self._description = description
 
+    @functools.cached_property
+    def matrix(self):
+        """A as scipy CSR; the stencil's is built on first read."""
+        return self._op.tocsr()
+
     def _residual(self, x: Vector) -> Vector:
         if self._zero_center:
             return np.ascontiguousarray(x, dtype=np.float64)
@@ -171,10 +232,10 @@ class QuadraticObjective:
 
     def value(self, x: Vector) -> float:
         r = self._residual(x)
-        return 0.5 * float(r @ (self.matrix @ r))
+        return 0.5 * float(r @ (self._op @ r))
 
     def gradient(self, x: Vector) -> Vector:
-        return self.matrix @ self._residual(x)
+        return self._op @ self._residual(x)
 
     def value_and_gradient(self, x: Vector) -> tuple[float, Vector]:
         # g = A (x - c), so 1/2 (x - c) . g is value(x) bit for bit without
@@ -194,17 +255,16 @@ def build_laplacian2d(n: int = 39) -> QuadraticObjective:
     Dirichlet boundary, spacing h = 1/(n+1), target point x* = 0.  Extreme
     eigenvalues are analytic: mu = (8/h^2) sin^2(pi h / 2) and
     L = (8/h^2) cos^2(pi h / 2), so kappa = cot^2(pi h / 2) = O(h^-2).
+    The operator is the matrix-free stencil; ``.matrix`` builds the CSR
+    (kron(I, K) + kron(K, I)) / h^2 on first read.
     """
     if n < 1:
         raise ValueError(f"grid parameter must be >= 1, got {n}")
     h = 1.0 / (n + 1)
-    K = sp.diags([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(n, n))
-    eye = sp.identity(n)
-    A = (sp.kron(eye, K) + sp.kron(K, eye)) / h**2
     mu = (8.0 / h**2) * np.sin(0.5 * np.pi * h) ** 2
     lipschitz = (8.0 / h**2) * np.cos(0.5 * np.pi * h) ** 2
     return QuadraticObjective(
-        A.tocsr(), np.zeros(n * n), mu, lipschitz,
+        _Stencil5(n, h), np.zeros(n * n), mu, lipschitz,
         description={"kind": "laplacian2d", "n": int(n)},
     )
 

@@ -1,13 +1,18 @@
-"""No module under src/agmx imports a name it never uses.
+"""No module under src/agmx imports a name it never uses, and startup
+imports no scipy.
 
-``__init__.py`` is left out: its imports are the package's public names.  An
-import statement may keep an unused binding only when its ``# noqa: F401``
-comment names that binding (the ones ``bench/instrument.py`` patches).
+``__init__.py`` is left out of the unused-import guard: its imports are the
+package's public names.  An import statement may keep an unused binding only
+when its ``# noqa: F401`` comment names that binding (the ones
+``bench/instrument.py`` patches).
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -47,3 +52,17 @@ def test_guard_catches_an_unused_import():
               "    kept,\n    used,\n    stray,\n)\n"
               "import os.path\nimport json as js\n\nprint(used)\n")
     assert unused_imports(source) == ["stray (line 4)", "os (line 6)", "js (line 7)"]
+
+
+@pytest.mark.parametrize("run", [False, True], ids=["import", "laplacian_run"])
+def test_startup_imports_no_scipy(run, tmp_path):
+    # only numpy loads at startup, and the Laplacian's oracle is matrix-free
+    code = "import sys\nimport agmx.cli\n"
+    if run:
+        code += ("assert agmx.cli.main(['run', '--problem', 'laplacian2d', '--n', '9', "
+                 f"'--method', 'hnag', '--out', {str(tmp_path / 't.csv')!r}]) == 0\n")
+    code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

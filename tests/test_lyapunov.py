@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from agmx import (
     strong_lyapunov_terms,
 )
 from agmx import cli
-from agmx.core import MinimizerUnknownError, ShiftedObjective
+from agmx.core import DimensionError, MinimizerUnknownError, ShiftedObjective
 
 from _helpers import (
     CountingObjective,
@@ -158,6 +159,16 @@ class TestStrongLyapunov:
                 assert leftover == 0.0
             assert abs(lhs - rhs - leftover) <= 1e-13 * (1.0 + abs(lhs))
 
+    @pytest.mark.parametrize("shape", [(1,), (80,), (81, 1)])
+    def test_state_shapes_validated(self, lap9, shape):
+        # a (1,) y used to broadcast against x* and give a number
+        good, bad = np.zeros(81), np.ones(shape)
+        for x, y in ((good, bad), (bad, good)):
+            with pytest.raises(DimensionError):
+                strong_lyapunov_terms(LyapunovKind.E_HNAG, lap9, x, y, beta=1.0)
+            with pytest.raises(DimensionError):
+                lyapunov(LyapunovKind.E_HNAG, lap9, x, y)
+
     def test_beta_validated(self, lap9):
         with pytest.raises(ValueError):
             strong_lyapunov_terms(LyapunovKind.E_HNAG, lap9,
@@ -188,10 +199,15 @@ class TestSharedAnchor:
                     assert lyapunov(kind, f, x, y, mu_hat) == \
                         reference_lyapunov(kind, f, x, y, mu_hat)
 
+    @pytest.mark.parametrize("problem, zero", [
+        ("lap19", True), ("centered_quadratic", False), ("minus_zero_quadratic", False)])
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_sweep_equals_reference_loop(self, lap19, kind):
-        # the sweep checks kind's own flow: the reference runs at flow_beta
-        f, mu_hat, beta = lap19, 0.5 * lap19.mu, flow_beta(kind, lap19)
+    def test_sweep_equals_reference_loop(self, problem, zero, kind, request):
+        # the sweep checks kind's own flow: the reference runs at flow_beta;
+        # only an all-+0.0 x* lets x and y stand for x - x* and y - x*
+        f = request.getfixturevalue(problem)
+        assert minimizer_anchor(f).zero is zero
+        mu_hat, beta = 0.5 * f.mu, flow_beta(kind, f)
         rep = strong_lyapunov_sweep(kind, f, agmx.Rng(3), 10, SCALES, mu_hat)
         rng = agmx.Rng(3)
         margins = []
@@ -205,6 +221,38 @@ class TestSharedAnchor:
         assert rep.worst_margin == min(margins)
         assert rep.worst_k == int(np.argmin(margins))
         assert rep.passes()
+
+    @pytest.mark.parametrize("centered", [False, True], ids=["laplacian", "centered"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_sweep_state_allocates_only_its_draws_and_gradient(self, kind, centered):
+        # after a warm-up state, a state's traced peak above its start is at
+        # most the two drawn vectors and the oracle's output
+        lap = agmx.build_laplacian2d(87)
+        d = lap.dim
+        f = (agmx.QuadraticObjective(lap.matrix, agmx.Rng(4).standard_normal(d),
+                                     lap.mu, lap.lipschitz) if centered else lap)
+        source = agmx.Rng(5)
+        pool = [source.standard_normal(d) for _ in range(6)]
+        readings = []
+
+        class Draws:
+            calls = 0
+
+            def standard_normal(self, n):
+                if self.calls in (2, 4):      # the first draws of states 1 and 2
+                    readings.append(tracemalloc.get_traced_memory())
+                    tracemalloc.reset_peak()
+                self.calls += 1
+                return pool[self.calls - 1].copy()
+
+        tracemalloc.start()
+        try:
+            rep = strong_lyapunov_sweep(kind, f, Draws(), 3, SCALES, 0.5 * f.mu)
+        finally:
+            tracemalloc.stop()
+        assert len(rep.k) == 3
+        (start, _), (_, peak) = readings
+        assert peak - start <= 3 * 8 * d
 
     def test_sweep_makes_one_oracle_call_per_state(self, lap9, monkeypatch):
         calls = count_calls_at_class(monkeypatch, agmx.QuadraticObjective)

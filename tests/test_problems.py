@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -206,6 +208,101 @@ class TestQuadraticOracle:
                 assert np.array_equal(_bits(a), _bits(b))
         assert np.array_equal(_bits(f.minimizer), _bits(QUAD_CENTERS[c_name]))
         assert not f.center.flags.writeable
+
+
+def _kron_laplacian(n):
+    """The CSR the Laplacian builder assembled before the stencil."""
+    h = 1.0 / (n + 1)
+    K = sp.diags([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(n, n))
+    eye = sp.identity(n)
+    return ((sp.kron(eye, K) + sp.kron(K, eye)) / h**2).tocsr()
+
+
+def _stencil_inputs(n):
+    """Named inputs: signed-zero patches, all -0.0, +-inf, NaN, subnormals,
+    random, and a strided view."""
+    d = n * n
+    rng = Rng(100 + n)
+    u = rng.uniform(d)
+    base = rng.standard_normal(d)
+    out = {"all_minus_zero": np.full(d, -0.0), "all_plus_zero": np.zeros(d),
+           "random": base.copy(), "strided": rng.standard_normal(2 * d)[::2]}
+    zeros = base.copy()
+    zeros[u < 0.3], zeros[u > 0.7] = 0.0, -0.0
+    out["signed_zero_patches"] = zeros
+    inf = zeros.copy()
+    inf[u < 0.1], inf[u > 0.9] = np.inf, -np.inf
+    out["infinities"] = inf
+    nan = zeros.copy()
+    nan[u < 0.05], nan[u > 0.95], nan[(u > 0.5) & (u < 0.55)] = np.nan, -np.nan, np.inf
+    out["nan"] = nan
+    sub = zeros.copy()
+    sub[u < 0.4] *= _TINY
+    sub[u > 0.8] = -3 * _TINY
+    out["subnormals"] = sub
+    return out
+
+
+STENCIL_GRIDS = (1, 2, 3, 9, 43, 178)
+
+
+class TestLaplacianStencil:
+    """The matrix-free Laplacian against the kron-built CSR, bit for bit."""
+
+    @pytest.mark.parametrize("n", STENCIL_GRIDS)
+    def test_oracle_equals_the_csr_matvec(self, n):
+        f = build_laplacian2d(n)
+        A = _kron_laplacian(n)
+        # for n in 2..5 the kron build stores explicit zeros, whose 0 * inf
+        # products turn a row NaN; without them the CSR is the 5-point matrix
+        pruned = A.copy()
+        pruned.eliminate_zeros()
+        assert (pruned.nnz < A.nnz) == (2 <= n <= 5)
+        for name, x in _stencil_inputs(n).items():
+            ref = QuadraticObjective(A if np.isfinite(x).all() else pruned,
+                                     np.zeros(n * n), f.mu, f.lipschitz)
+            # the stencil is as silent as the CSR loop on inf and NaN
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grad = f.gradient(x)
+            assert np.array_equal(_bits(grad), _bits(ref.gradient(x))), name
+            # the value's dot product warns on both paths alike
+            with np.errstate(invalid="ignore", over="ignore"):
+                value, grad = f.value_and_gradient(x)
+                ref_value, ref_grad = ref.value_and_gradient(x)
+                assert _bits(f.value(x)) == _bits(ref.value(x)), name
+            assert np.array_equal(_bits(grad), _bits(ref_grad)), name
+            assert _bits(value) == _bits(ref_value), name
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_explicit_zeros_differ_only_on_infinities(self, n):
+        # the one place the stencil departs from the kron CSR: 0 * inf = NaN
+        f = build_laplacian2d(n)
+        A = f.matrix
+        row0 = slice(A.indptr[0], A.indptr[1])
+        x = np.zeros(n * n)
+        x[A.indices[row0][A.data[row0] == 0.0][0]] = np.inf
+        csr, stencil = A @ x, f.gradient(x)
+        assert np.isnan(csr[0]) and _bits(stencil[0]) == _bits(0.0)
+
+    @pytest.mark.parametrize("n", STENCIL_GRIDS)
+    def test_matrix_is_todays_csr_built_once(self, n):
+        f = build_laplacian2d(n)
+        A, ref = f.matrix, _kron_laplacian(n)
+        assert isinstance(A, sp.csr_matrix) and A.has_sorted_indices
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.array_equal(_bits(A.data), _bits(ref.data))
+        assert f.matrix is A
+
+    def test_a_result_outlives_the_next_call(self):
+        # the operator's scratch vectors never leak into a returned gradient
+        f = build_laplacian2d(7)
+        x = Rng(1).standard_normal(49)
+        g = f.gradient(x)
+        kept = g.copy()
+        f.value_and_gradient(-3.0 * x)
+        assert np.array_equal(_bits(g), _bits(kept))
 
 
 class TestEstimateExtremeEigs:
