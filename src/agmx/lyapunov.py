@@ -26,7 +26,6 @@ from .core import (  # noqa: F401  bregman: bench/instrument.py wraps this bindi
     ObjectiveLike,
     Vector,
     _check_dims,
-    all_positive_zero,
     bregman,
     bregman_asymmetry,
 )
@@ -45,14 +44,12 @@ class Anchor:
     """The minimizer x* with f(x*) and grad f(x*), evaluated once.
 
     Every energy is a Bregman divergence to x*, so a sweep over many states
-    computes this once and shares it.  ``zero``: x* is all +0.0, so x - x*
-    is x bit for bit.
+    computes this once and shares it.
     """
 
     xstar: Vector
     fstar: float
     gstar: Vector
-    zero: bool = False
 
 
 def minimizer_anchor(f: ObjectiveLike) -> Anchor:
@@ -61,7 +58,7 @@ def minimizer_anchor(f: ObjectiveLike) -> Anchor:
         raise MinimizerUnknownError("objective has no minimizer attached")
     xstar = np.asarray(f.minimizer, dtype=np.float64)
     fstar, gstar = f.value_and_gradient(xstar)
-    return Anchor(xstar, fstar, gstar, all_positive_zero(xstar))
+    return Anchor(xstar, fstar, gstar)
 
 
 def _shifted_bregman(fx: float, dx: Vector, a: Anchor, shift: float) -> float:
@@ -144,10 +141,7 @@ def strong_lyapunov_terms(
     fx, g = f.value_and_gradient(x)
     xstar = a.xstar
     w = np.empty((_SCRATCH_ROWS, f.dim)) if scratch is None else scratch
-    if a.zero:   # dx, dy alias x, y (contiguous, as a difference is): never written
-        dx, dy = np.ascontiguousarray(x, float), np.ascontiguousarray(y, float)
-    else:
-        dx, dy = np.subtract(x, xstar, out=w[0]), np.subtract(y, xstar, out=w[1])
+    dx, dy = np.subtract(x, xstar, out=w[0]), np.subtract(y, xstar, out=w[1])
     energy = _energy(fx, dx, dy, a, shift, y_weight)
 
     # grad E = (g - shift dx, 2 y_weight dy); the flow is

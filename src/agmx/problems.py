@@ -15,13 +15,12 @@ loads for a quadratic's ``.matrix`` or a sparse or dense input.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import functools
+from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ObjectiveLike, Vector, _check_dims, all_positive_zero
+from .core import DimensionError, ObjectiveLike, Vector, _check_dims, all_positive_zero
 
 # SplitMix64 constants (Steele, Lea, Flood 2014). The k-th raw draw mixes
 # state0 + k * _GAMMA; uniforms take the top 53 bits.
@@ -169,6 +168,8 @@ class _Stencil5:
 
     def __matmul__(self, x: Vector) -> Vector:
         n, t, s, d = self.n, self._t, self._s, self._t.size
+        if np.shape(x) != (d,):
+            raise DimensionError(f"expected shape ({d},), got {np.shape(x)}")
         out = np.zeros(d)
         # whole-array contiguous passes; the CSR loop is silent on inf and NaN
         with np.errstate(over="ignore", invalid="ignore"):
@@ -205,11 +206,12 @@ class QuadraticObjective:
 
     def __init__(self, matrix, center: Vector, mu: float,
                  lipschitz: float, description: Optional[dict] = None):
-        self._op = matrix
-        if not isinstance(matrix, _Stencil5):
+        if isinstance(matrix, _Stencil5):
+            self._op = matrix
+        else:
             import scipy.sparse as sp
 
-            self._op = self.matrix = sp.csr_matrix(matrix)
+            self._op = sp.csr_matrix(matrix)
         self.center = np.array(center, dtype=np.float64)
         self.center.flags.writeable = False
         self._zero_center = all_positive_zero(self.center)
@@ -222,7 +224,7 @@ class QuadraticObjective:
 
     @functools.cached_property
     def matrix(self):
-        """A as scipy CSR; the stencil's is built on first read."""
+        """A as scipy CSR (the stencil's is built on first read)."""
         return self._op.tocsr()
 
     def _residual(self, x: Vector) -> Vector:

@@ -295,6 +295,20 @@ class TestLaplacianStencil:
         assert np.array_equal(_bits(A.data), _bits(ref.data))
         assert f.matrix is A
 
+    @pytest.mark.parametrize("shape", [(), (1,), (48,), (49, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        # the CSR matvec raised on a length mismatch; a (1,) x must not broadcast
+        f, x = build_laplacian2d(7), np.ones(shape)
+        for oracle in (f.gradient, f.value, f.value_and_gradient):
+            with pytest.raises(DimensionError):
+                oracle(x)
+
+    def test_a_given_matrix_is_held_as_csr(self):
+        dense = np.diag([1.0, 2.0, 3.0])
+        f = QuadraticObjective(dense, np.zeros(3), 1.0, 3.0)
+        assert isinstance(f.matrix, sp.csr_matrix) and f.matrix is f.matrix
+        assert np.array_equal(f.matrix.toarray(), dense)
+
     def test_a_result_outlives_the_next_call(self):
         # the operator's scratch vectors never leak into a returned gradient
         f = build_laplacian2d(7)
