@@ -84,9 +84,9 @@ def _newton_cg(f: ObjectiveLike, x: Vector, g: Vector, threshold: float):
         for _ in range(f.dim):
             s = h / math.sqrt(d @ d)
             hd = (grad(x + s * d) - grad(x - s * d)) / (2.0 * s)
-            if d @ hd <= 0.0:
+            if (dhd := d @ hd) <= 0.0:
                 break
-            a = rr / (d @ hd)
+            a = rr / dhd
             p, r = p + a * d, r - a * hd
             rr, rr_old = r @ r, rr
             if math.sqrt(rr) <= cg_tol:

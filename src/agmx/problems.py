@@ -16,6 +16,7 @@ loads for a quadratic's ``.matrix`` or a sparse or dense input.
 from __future__ import annotations
 
 import functools
+import threading
 from typing import Callable, Optional
 
 import numpy as np
@@ -150,24 +151,33 @@ def estimate_extreme_eigs(
     return lam_max - spread, lam_max
 
 
+class _StencilScratch(threading.local):
+    """A thread's two scratch d-vectors for ``_Stencil5``: off * x; diag * x,
+    which also holds the saved edge entries.  They live as long as the
+    thread, since d-sized temporaries made per call are returned to the OS
+    and faulted back in."""
+
+    def __init__(self, d: int):
+        self.t, self.s = np.empty(d), np.empty(d)
+
+
 class _Stencil5:
     """The 5-point Laplacian on the flat n x n grid, matrix-free.
 
     ``A @ x`` rounds each row as the CSR matvec of the kron build does: the
     sum starts at +0.0 and adds the products with -1/h^2 and 4/h^2 in column
-    order i-n, i-1, i, i+1, i+n.  Each call allocates only its result.  (For
-    n in 2..5 the kron build also stores explicit zeros: they change no
-    finite result, but their 0 * inf products are NaN.)
+    order i-n, i-1, i, i+1, i+n.  Each call allocates only its result, and
+    threads may share one operator: each keeps its own scratch vectors.
     """
 
     def __init__(self, n: int, h: float):
         self.n, self.h = n, h
         self._off, self._diag = -1.0 / h**2, 4.0 / h**2
-        # off * x; diag * x, which also holds the saved edge entries
-        self._t, self._s = np.empty(n * n), np.empty(n * n)
+        self._scratch = _StencilScratch(n * n)
 
     def __matmul__(self, x: Vector) -> Vector:
-        n, t, s, d = self.n, self._t, self._s, self._t.size
+        n, d = self.n, self.n * self.n
+        t, s = self._scratch.t, self._scratch.s
         if np.shape(x) != (d,):
             raise DimensionError(f"expected shape ({d},), got {np.shape(x)}")
         out = np.zeros(d)
@@ -188,12 +198,15 @@ class _Stencil5:
         return out
 
     def tocsr(self):
-        """The kron-built CSR matrix."""
+        """The kron-built CSR matrix, explicit zeros removed: the kron build
+        stores some for n in 2..5, whose 0 * inf products would be NaN."""
         import scipy.sparse as sp
 
         K = sp.diags([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(self.n, self.n))
         eye = sp.identity(self.n)
-        return sp.csr_matrix(((sp.kron(eye, K) + sp.kron(K, eye)) / self.h**2).tocsr())
+        A = sp.csr_matrix(((sp.kron(eye, K) + sp.kron(K, eye)) / self.h**2).tocsr())
+        A.eliminate_zeros()
+        return A
 
 
 class QuadraticObjective:
@@ -278,7 +291,7 @@ def build_laplacian2d(n: int = 39) -> QuadraticObjective:
 def _on_support(t, eps: float, formula: Callable[[np.ndarray], np.ndarray]):
     """formula(t) where t > eps/709, and 0 elsewhere."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.zeros_like(t)
+    out = np.zeros(t.shape)
     m = t > eps / 709.0
     out[m] = formula(t[m])
     return out
@@ -362,13 +375,15 @@ def build_piecewise(
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # evaluate 1 / (1 + e^-z) through exp of negative magnitudes only
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+def _sigmoid_neg(s: np.ndarray) -> np.ndarray:
+    """sigma(-s) = 1 / (1 + e^s), through exp of negative magnitudes only:
+    with e = exp(-|s|), e / (1 + e) where s > 0 and 1 / (1 + e) elsewhere,
+    each rounded as the branch of a masked evaluation."""
+    e = np.copysign(s, -1.0)
+    np.exp(e, out=e)
+    out = np.where(s > 0.0, e, 1.0)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -400,7 +415,7 @@ class LogisticObjective(ObjectiveLike):
 
     def gradient(self, x: Vector) -> Vector:
         s = self.b * (self.A.T @ x)
-        return self.A @ (-self.b * _sigmoid(-s)) + self.lam * x
+        return self.A @ (-self.b * _sigmoid_neg(s)) + self.lam * x
 
     def description(self) -> dict:
         return dict(self._description)

@@ -370,20 +370,22 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
 
     rows: list[tuple[float, ...]] = []   # one per step, in Trace field order
 
+    # squared quantities can overflow long before coordinates do; treat that
+    # as divergence rather than recording infinities.  As a decorator,
+    # errstate builds no context object per record.
+    @np.errstate(over="ignore", invalid="ignore")
     def record(st: SolverState) -> None:
-        # squared quantities can overflow long before coordinates do; treat
-        # that as divergence rather than recording infinities
-        with np.errstate(over="ignore", invalid="ignore"):
-            dx, dy = st.x, _read_y(method, st, params, dy_buf, tmp)
-            if not zero_xstar:
-                dx, dy = np.subtract(dx, xstar, out=dx_buf), np.subtract(dy, xstar, out=dy_buf)
-            f_gap = st.f_cache - fstar
-            x_err = float(dx @ dx)
-            y_err = float(dy @ dy)
-            grad_norm = float(np.linalg.norm(st.grad_cache))
-            np.multiply(dx, mu, out=tmp)
-            np.subtract(st.grad_cache, tmp, out=tmp)
-            gsh_sq = float(tmp @ tmp)
+        dx, dy = st.x, _read_y(method, st, params, dy_buf, tmp)
+        if not zero_xstar:
+            dx, dy = np.subtract(dx, xstar, out=dx_buf), np.subtract(dy, xstar, out=dy_buf)
+        f_gap = st.f_cache - fstar
+        x_err = float(dx @ dx)
+        y_err = float(dy @ dy)
+        # the rounding of np.linalg.norm on a real vector, in one call
+        grad_norm = math.sqrt(st.grad_cache @ st.grad_cache)
+        np.multiply(dx, mu, out=tmp)
+        np.subtract(st.grad_cache, tmp, out=tmp)
+        gsh_sq = float(tmp @ tmp)
         if not all(map(math.isfinite, (f_gap, x_err, y_err, grad_norm, gsh_sq))):
             raise DivergenceError(method, st.k)
         rows.append((f_gap, grad_norm, x_err, y_err, f_gap + 0.5 * mu * y_err,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -16,6 +17,8 @@ from agmx import Rng, build_laplacian2d, build_logistic, build_piecewise, proble
 from agmx.core import DimensionError
 from agmx.problems import (
     EigenEstimateError,
+    LogisticObjective,
+    PiecewiseSmoothObjective,
     QuadraticObjective,
     check_gradient,
     estimate_extreme_eigs,
@@ -274,21 +277,25 @@ class TestLaplacianStencil:
             assert np.array_equal(_bits(grad), _bits(ref_grad)), name
             assert _bits(value) == _bits(ref_value), name
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_explicit_zeros_differ_only_on_infinities(self, n):
-        # the one place the stencil departs from the kron CSR: 0 * inf = NaN
-        f = build_laplacian2d(n)
-        A = f.matrix
-        row0 = slice(A.indptr[0], A.indptr[1])
-        x = np.zeros(n * n)
-        x[A.indices[row0][A.data[row0] == 0.0][0]] = np.inf
-        csr, stencil = A @ x, f.gradient(x)
-        assert np.isnan(csr[0]) and _bits(stencil[0]) == _bits(0.0)
+    @pytest.mark.parametrize("n", STENCIL_GRIDS)
+    def test_matrix_equals_the_stencil_on_every_input(self, n):
+        # .matrix holds no explicit zero, so no 0 * inf turns a row NaN; for
+        # n in 2..5 one input puts an inf where the kron build stores a zero
+        f, kron = build_laplacian2d(n), _kron_laplacian(n)
+        inputs = _stencil_inputs(n)
+        kron_zeros = kron.indices[kron.data == 0.0]
+        assert (kron_zeros.size > 0) == (2 <= n <= 5)
+        if kron_zeros.size:
+            inputs["inf_at_a_kron_zero"] = np.zeros(n * n)
+            inputs["inf_at_a_kron_zero"][kron_zeros[0]] = np.inf
+        for name, x in inputs.items():
+            assert np.array_equal(_bits(f.matrix @ x), _bits(f.gradient(x))), name
 
     @pytest.mark.parametrize("n", STENCIL_GRIDS)
     def test_matrix_is_todays_csr_built_once(self, n):
         f = build_laplacian2d(n)
         A, ref = f.matrix, _kron_laplacian(n)
+        ref.eliminate_zeros()
         assert isinstance(A, sp.csr_matrix) and A.has_sorted_indices
         assert np.array_equal(A.indptr, ref.indptr)
         assert np.array_equal(A.indices, ref.indices)
@@ -317,6 +324,32 @@ class TestLaplacianStencil:
         kept = g.copy()
         f.value_and_gradient(-3.0 * x)
         assert np.array_equal(_bits(g), _bits(kept))
+
+    def test_threads_sharing_one_operator_get_the_serial_gradients(self):
+        # numpy drops the GIL inside each pass, so threads that shared the
+        # scratch vectors mixed each other's partial sums into their results
+        f = build_laplacian2d(178)
+        xs = [Rng(seed).standard_normal(f.dim) for seed in range(4)]
+        serial = [_bits(f.gradient(x)) for x in xs]
+        done, wrong = [0] * 4, [0] * 4
+
+        def work(i):
+            for _ in range(300):
+                wrong[i] += not np.array_equal(_bits(f.gradient(xs[i])), serial[i])
+                done[i] += 1
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert done == [300] * 4 and wrong == [0] * 4
 
 
 class TestEstimateExtremeEigs:
@@ -506,6 +539,93 @@ class TestLogisticProblem:
         x = 100.0 * np.ones(f.dim)  # drives |s| far past the overflow knee
         assert np.isfinite(f.value(x))
         assert np.isfinite(f.gradient(x)).all()
+
+
+def _masked_sigmoid(z):
+    """The masked sigmoid the logistic gradient used before its lean form."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _masked_on_support(t, eps, formula):
+    """The piecewise helper as it was: zeros_like, then the formula on the mask."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.zeros_like(t)
+    m = t > eps / 709.0
+    out[m] = formula(t[m])
+    return out
+
+
+def _same(a, b):
+    """Equal as uint64 bits where a is a number, and NaN exactly where a is."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(_bits(a[~nan]), _bits(b[~nan])))
+
+
+# +-0, subnormals, |v| > 745 (where e^-|v| underflows), +-inf and NaN
+_SPECIAL = np.array([0.0, -0.0, _TINY, -_TINY, 1e-310, -2e-310, 745.5, -745.5, 800.0,
+                     -1e4, 1e300, np.inf, -np.inf, np.nan, 1.0, -0.5, 36.0, -40.0])
+LEAN_SIZES = (1, 7, 8, 50, 257)
+
+
+def _lean_inputs(d, seed):
+    """x vectors for an oracle of dimension d: +-0, three scales, and draws
+    from ``_SPECIAL``."""
+    rng = Rng(seed)
+    xs = {"plus_zero": np.zeros(d), "minus_zero": np.full(d, -0.0)}
+    for scale in (1e-3, 1.0, 1e3):
+        xs[f"scale_{scale:g}"] = scale * rng.standard_normal(d)
+    xs["special"] = _SPECIAL[(rng.uniform(d) * _SPECIAL.size).astype(np.int64)]
+    return xs
+
+
+class TestLeanOracles:
+    """The logistic and piecewise oracles against their masked forms, bit for bit."""
+
+    @pytest.mark.parametrize("n", LEAN_SIZES)
+    def test_sigmoid_neg_is_the_masked_sigmoid_of_minus_s(self, n):
+        rng = Rng(n)
+        for s in (rng.standard_normal(n), 50.0 * rng.standard_normal(n),
+                  _SPECIAL[(rng.uniform(n) * _SPECIAL.size).astype(np.int64)], _SPECIAL):
+            with np.errstate(all="ignore"):
+                assert _same(problems._sigmoid_neg(s), _masked_sigmoid(-s))
+
+    @pytest.mark.parametrize("m", LEAN_SIZES)
+    def test_logistic_oracles(self, m):
+        # a seeded problem, and one with A = I, so that s = b * x takes every
+        # special value
+        b = Rng(m).signs(m)
+        for f in (build_logistic(d=20, m=m, seed=m),
+                  LogisticObjective(np.eye(m), b, 0.1, 1.1)):
+            for name, x in _lean_inputs(f.dim, seed=m).items():
+                with np.errstate(all="ignore"):
+                    s = f.b * (f.A.T @ x)
+                    grad = f.A @ (-f.b * _masked_sigmoid(-s)) + f.lam * x
+                    value = np.logaddexp(0.0, -s).sum() + 0.5 * f.lam * (x @ x)
+                    assert _same(f.gradient(x), grad), name
+                    assert _same(f.value(x), value), name
+
+    @pytest.mark.parametrize("p", (1, 5, 8, 33, 257))
+    def test_piecewise_oracles(self, p):
+        # a seeded problem, and one with A = I and b = 0, so that t = x
+        for f in (build_piecewise(d=20, p=p, seed=p),
+                  PiecewiseSmoothObjective(np.eye(p), np.zeros(p), 1.0, 2.0, 1e-6)):
+            eps = f.eps
+            for name, x in _lean_inputs(f.dim, seed=p).items():
+                with np.errstate(all="ignore"):
+                    t = f.A.T @ x - f.b
+                    h = _masked_on_support(t, eps, lambda tm: 0.5 * tm**2 * np.exp(-eps / tm))
+                    h1 = _masked_on_support(
+                        t, eps, lambda tm: np.exp(-eps / tm) * (tm + 0.5 * eps))
+                    value = h.sum() + 0.5 * f.mu * (x @ x)
+                    assert _same(f.value(x), value), name
+                    assert _same(f.gradient(x), f.A @ h1 + f.mu * x), name
 
 
 class TestBuilderValidation:

@@ -353,6 +353,20 @@ class TestBitIdenticalToReference:
         for col in TRACE_COLUMNS:
             assert np.array_equal(getattr(tr, col), ref[col]), col
 
+    @pytest.mark.parametrize("problem", ["piecewise_default", "logistic_default", "lap178"])
+    def test_grad_norm_is_the_linalg_norm(self, problem, request):
+        # d = 100, 1000 and 31684: the record's sqrt(g @ g) against
+        # np.linalg.norm of the gradient that ``step`` reaches at each k
+        f = (agmx.build_laplacian2d(178) if problem == "lap178"
+             else request.getfixturevalue(problem))
+        x0 = agmx.Rng(42).uniform(f.dim)
+        tr = solve(f, SolverConfig(method=MethodKind.HNAG, max_iter=20), x0)
+        p = make_params(MethodKind.HNAG, f.mu, f.lipschitz)
+        st = init_state(MethodKind.HNAG, f, x0, p)
+        for k in range(tr.iterations + 1):
+            assert tr.grad_norm[k] == float(np.linalg.norm(st.grad_cache)), k
+            st = step(MethodKind.HNAG, st, f, p)
+
     @pytest.mark.parametrize("method", list(MethodKind))
     def test_step_matches_reference_step(self, method, small_logistic):
         f = small_logistic
