@@ -9,9 +9,10 @@ Usage: python scripts/verify_theory.py [--seed 42]
 """
 
 import argparse
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 import agmx
 from agmx import (

@@ -59,6 +59,8 @@ def find_minimizer(f: ObjectiveLike) -> Vector:
     return _nag_loop(f, x, g, threshold, _NAG_MAX_ITER)
 
 
+# grad's finiteness check raises OracleError; numpy's warnings would print ahead of it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _newton_cg(f: ObjectiveLike, x: Vector, g: Vector, threshold: float):
     """Truncated Newton from x, with g = grad f(x): CG on H p = -g to the
     forcing tolerance min(1/2, sqrt(||g|| / ||g_0||)), H v by central

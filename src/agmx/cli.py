@@ -53,18 +53,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_USAGE_ERROR)
 
 
+# problem kind -> its builder's parameters
+_PARAMS = {kind: inspect.signature(build).parameters for kind, build in problems.BUILDERS.items()}
+# problem flag -> {problem kind: its default}, for every builder argument but the seed
+_PROBLEM_FLAGS = {name: {kind: params[name].default for kind, params in _PARAMS.items()
+                         if name in params}
+                  for taken in _PARAMS.values() for name in taken if name != "seed"}
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--problem", choices=list(problems.BUILDERS), default="laplacian2d")
-    # an unset problem flag stays out of args (see _build_problem)
-    unset = argparse.SUPPRESS
-    parser.add_argument("--n", type=int, default=unset, help="laplacian2d grid parameter")
-    parser.add_argument("--d", type=int, default=unset, help="ambient dimension")
-    parser.add_argument("--p", type=int, default=unset, help="piecewise component count")
-    parser.add_argument("--m", type=int, default=unset, help="logistic sample count")
-    parser.add_argument("--mu", type=float, default=unset, help="piecewise strong convexity")
-    parser.add_argument("--lipschitz", type=float, default=unset, help="piecewise smoothness")
-    parser.add_argument("--eps", type=float, default=unset, help="piecewise layer width")
-    parser.add_argument("--lam", type=float, default=unset, help="logistic regularizer")
+    for name, defaults in _PROBLEM_FLAGS.items():
+        flag_type = type(next(iter(defaults.values())))
+        takers = ", ".join(f"{kind} (default {value})" for kind, value in defaults.items())
+        # an unset problem flag stays out of args (see _build_problem)
+        parser.add_argument(f"--{name}", type=flag_type, default=argparse.SUPPRESS, help=takers)
     parser.add_argument("--tol", type=float, default=SolverConfig.tol_rel_grad,
                         help="relative gradient tolerance")
     parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
@@ -77,10 +80,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_run = sub.add_parser("run", help="run one method and write its trace")
+    p_run.set_defaults(handler=_cmd_run)
     _add_common(p_run)
     p_run.add_argument("--method", type=str, required=True)
 
     p_cmp = sub.add_parser("compare", help="run several methods from the same start")
+    p_cmp.set_defaults(handler=_cmd_compare)
     _add_common(p_cmp)
     p_cmp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_cmp.add_argument("--methods", type=str, required=True,
@@ -90,6 +95,7 @@ def build_parser() -> _Parser:
                        default=RateRegime.GENERAL.value)
 
     p_diag = sub.add_parser("diagnose", help="verify a contraction theorem or sweep")
+    p_diag.set_defaults(handler=_cmd_diagnose)
     _add_common(p_diag)
     p_diag.add_argument("--check", type=str, required=True, help=" | ".join(CHECKS))
     p_diag.add_argument("--mu-hat-frac", type=float, default=0.5,
@@ -98,6 +104,7 @@ def build_parser() -> _Parser:
                         help="number of sweep states for strong_* checks")
 
     p_rates = sub.add_parser("rates", help="theoretical-rate catalog")
+    p_rates.set_defaults(handler=_cmd_rates)
     p_rates.add_argument("--kappas", type=str, default="100,785,3150,13000")
     p_rates.add_argument("--methods", type=str, default="gd,nag,tm,hnag,hnagplus")
     p_rates.add_argument("--out", type=str, default=None)
@@ -120,15 +127,11 @@ def _seed_of(args: argparse.Namespace) -> int:
 def _build_problem(args: argparse.Namespace, seed: int):
     """Build --problem from the problem flags the user set and the seed; an
     unset flag takes the builder's default, and one it does not take is an error."""
-    params = inspect.signature(problems.BUILDERS[args.problem]).parameters
-    # every builder argument but the seed is a problem flag
-    flags = {name for build in problems.BUILDERS.values()
-             for name in inspect.signature(build).parameters} - {"seed"}
-    spec = {name: value for name, value in vars(args).items() if name in flags}
-    stray = [f"--{name}" for name in spec if name not in params]
+    spec = {name: value for name, value in vars(args).items() if name in _PROBLEM_FLAGS}
+    stray = [f"--{name}" for name in spec if args.problem not in _PROBLEM_FLAGS[name]]
     if stray:
         raise ValueError(f"--problem {args.problem} takes no {', '.join(stray)}")
-    if "seed" in params:
+    if "seed" in _PARAMS[args.problem]:
         spec["seed"] = seed
     return problems.rebuild({"kind": args.problem, **spec})
 
@@ -276,14 +279,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = {
-        "run": _cmd_run,
-        "compare": _cmd_compare,
-        "diagnose": _cmd_diagnose,
-        "rates": _cmd_rates,
-    }[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except DivergenceError as err:
         sys.stderr.write(f"error: {err}\n")
         return _DIVERGED

@@ -209,7 +209,18 @@ class _Stencil5:
         return A
 
 
-class QuadraticObjective:
+class _Problem(ObjectiveLike):
+    """An objective a builder made: ``description()`` is its kind and builder arguments."""
+
+    _description: Optional[dict] = None
+
+    def description(self) -> dict:
+        if self._description is None:
+            raise ValueError(f"this {type(self).__name__} was built ad hoc and has no description")
+        return dict(self._description)
+
+
+class QuadraticObjective(_Problem):
     """f(x) = 1/2 (x - c)^T A (x - c) for an SPD A; c is a private read-only
     copy, and when it is all +0.0 the residual is x itself.
 
@@ -258,11 +269,6 @@ class QuadraticObjective:
         g = self.gradient(x)
         return 0.5 * float(self._residual(x) @ g), g
 
-    def description(self) -> dict:
-        if self._description is None:
-            raise ValueError("this quadratic was built ad hoc and has no description")
-        return dict(self._description)
-
 
 def build_laplacian2d(n: int = 39) -> QuadraticObjective:
     """Five-point FD Laplacian on the unit square, n x n interior grid.
@@ -310,7 +316,7 @@ def piecewise_h_second(t, eps: float):
         t, eps, lambda tm: np.exp(-eps / tm) * (1.0 + eps / tm + 0.5 * (eps / tm) ** 2))
 
 
-class PiecewiseSmoothObjective(ObjectiveLike):
+class PiecewiseSmoothObjective(_Problem):
     """f(x) = sum_i h(a_i . x - b_i) + mu/2 ||x||^2 with h as above.
 
     The columns a_i are scaled so that ||A||_2 = sqrt(L - mu); since
@@ -336,9 +342,6 @@ class PiecewiseSmoothObjective(ObjectiveLike):
     def gradient(self, x: Vector) -> Vector:
         t = self.A.T @ x - self.b
         return self.A @ piecewise_h_prime(t, self.eps) + self.mu * x
-
-    def description(self) -> dict:
-        return dict(self._description)
 
 
 def build_piecewise(
@@ -387,7 +390,7 @@ def _sigmoid_neg(s: np.ndarray) -> np.ndarray:
     return out
 
 
-class LogisticObjective(ObjectiveLike):
+class LogisticObjective(_Problem):
     """l2-regularized logistic regression over m labelled columns a_i.
 
     f(x) = sum_i log(1 + exp(-b_i a_i . x)) + lam/2 ||x||^2, labels in {-1,+1}.
@@ -416,9 +419,6 @@ class LogisticObjective(ObjectiveLike):
     def gradient(self, x: Vector) -> Vector:
         s = self.b * (self.A.T @ x)
         return self.A @ (-self.b * _sigmoid_neg(s)) + self.lam * x
-
-    def description(self) -> dict:
-        return dict(self._description)
 
 
 def build_logistic(

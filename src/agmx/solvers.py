@@ -51,27 +51,23 @@ _HNAG_COEFFS = {
 }
 HNAG_FAMILY = tuple(_HNAG_COEFFS)
 
+# Extra spellings of method names; each MethodKind value is a name as well.
 _ALIASES = {
-    "gd": MethodKind.GD,
-    "nag": MethodKind.NAG,
-    "tm": MethodKind.TM,
-    "hnag": MethodKind.HNAG,
     "hnag++": MethodKind.HNAG,
     "hnagpp": MethodKind.HNAG,
     "hnag+": MethodKind.HNAG_PLUS,
     "hnagplus": MethodKind.HNAG_PLUS,
-    "hnag_plus": MethodKind.HNAG_PLUS,
     "hnagbox": MethodKind.HNAG_BOX,
-    "hnag_box": MethodKind.HNAG_BOX,
 }
 
 
 def parse_method(name: str) -> MethodKind:
     """Resolve a method name or alias (case-insensitive) to a MethodKind."""
     key = name.strip().lower()
-    if key not in _ALIASES:
-        raise ValueError(f"unknown method '{name}'")
-    return _ALIASES[key]
+    try:
+        return MethodKind(_ALIASES.get(key, key))
+    except ValueError:
+        raise ValueError(f"unknown method '{name}'") from None
 
 
 class DivergenceError(RuntimeError):
@@ -159,10 +155,16 @@ class SolverState:
     f_cache: float
 
 
+def _check_params(method: MethodKind, params: MethodParams) -> None:
+    if params.method is not method:
+        raise ValueError(f"params were built for {params.method}, not {method}")
+
+
 def init_state(
     method: MethodKind, f: ObjectiveLike, x0: Vector, params: MethodParams
 ) -> SolverState:
     """Matched initialization: internal variables start at x0 (v0 = alpha*x0)."""
+    _check_params(method, params)
     x0 = np.asarray(x0, dtype=np.float64)
     _check_dims(f, x0)
     if not np.isfinite(x0).all():
@@ -177,12 +179,11 @@ def init_state(
     return SolverState(x=x0.copy(), aux=aux, k=0, grad_cache=g0, f_cache=f0)
 
 
-def _read_y(method: MethodKind, state: SolverState, params: MethodParams,
-            out: Vector, tmp: Vector) -> Vector:
+def _read_y(state: SolverState, params: MethodParams, out: Vector, tmp: Vector) -> Vector:
     """y_k written into ``out`` (``tmp`` is scratch); GD and NAG return aux."""
-    if method in HNAG_FAMILY:
+    if params.method in HNAG_FAMILY:
         return np.divide(state.aux, params.alpha, out=out)
-    if method is MethodKind.TM:
+    if params.method is MethodKind.TM:
         g_tm = params.tm_coeffs[2]
         np.multiply(state.aux[0], 1.0 + g_tm, out=out)
         np.multiply(state.aux[1], g_tm, out=tmp)
@@ -199,9 +200,9 @@ def _combine(p: Vector, q: Vector, c: float, g: Vector, den: float,
     return np.divide(out, den, out=out)
 
 
-def _advance(method: MethodKind, params: MethodParams, f: ObjectiveLike,
-             src: SolverState, dst: SolverState, tmp: Vector) -> None:
-    """The update kernel: write the iterate after ``src`` into ``dst``.
+def _advance(params: MethodParams, f: ObjectiveLike, src: SolverState,
+             dst: SolverState, tmp: Vector) -> None:
+    """The update kernel of ``params.method``: write the iterate after ``src`` into ``dst``.
 
     ``dst`` owns arrays shared with neither ``src`` nor ``tmp`` (scratch).
     Every update evaluates its formula operation by operation in the order
@@ -211,7 +212,7 @@ def _advance(method: MethodKind, params: MethodParams, f: ObjectiveLike,
     """
     x, aux, g = src.x, src.aux, src.grad_cache
     x_new, aux_new = dst.x, dst.aux
-    a = params.alpha
+    method, a = params.method, params.alpha
 
     if method is MethodKind.HNAG or method is MethodKind.HNAG_PLUS:
         if method is MethodKind.HNAG:
@@ -252,7 +253,7 @@ def _advance(method: MethodKind, params: MethodParams, f: ObjectiveLike,
         xi, xi_prev = aux[0], aux[1]
         xi_new = aux_new[0]
         # gradient at y = (1 + g_tm) xi - g_tm xi_prev, built in x_new
-        g_y = f.gradient(_read_y(method, src, params, x_new, tmp))
+        g_y = f.gradient(_read_y(src, params, x_new, tmp))
         # xi_new = (1 + b) xi - b xi_prev - a g(y)
         np.multiply(xi, 1.0 + b_tm, out=xi_new)
         np.multiply(xi_prev, b_tm, out=tmp)
@@ -283,10 +284,9 @@ def step(
     params: MethodParams,
 ) -> SolverState:
     """Advance one iteration, returning a fresh state."""
-    if params.method is not method:
-        raise ValueError(f"params were built for {params.method}, not {method}")
+    _check_params(method, params)
     new = _blank_like(state)
-    _advance(method, params, f, state, new, np.empty_like(state.x))
+    _advance(params, f, state, new, np.empty_like(state.x))
     if not (np.isfinite(new.x).all() and np.isfinite(new.aux).all()
             and np.isfinite(new.grad_cache).all()):
         raise DivergenceError(method, new.k)
@@ -375,7 +375,7 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
     # errstate builds no context object per record.
     @np.errstate(over="ignore", invalid="ignore")
     def record(st: SolverState) -> None:
-        dx, dy = st.x, _read_y(method, st, params, dy_buf, tmp)
+        dx, dy = st.x, _read_y(st, params, dy_buf, tmp)
         if not zero_xstar:
             dx, dy = np.subtract(dx, xstar, out=dx_buf), np.subtract(dy, xstar, out=dy_buf)
         f_gap = st.f_cache - fstar
@@ -400,7 +400,7 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
             break
         if state.k >= config.max_iter:
             break
-        _advance(method, params, f, state, spare, tmp)
+        _advance(params, f, state, spare, tmp)
         state, spare = spare, state
         record(state)
 

@@ -1,4 +1,6 @@
+import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from agmx import (
     cli,
     contraction_residuals,
     ensure_minimizer,
+    problems,
     solve,
     strong_lyapunov_sweep,
     theoretical_rate,
@@ -64,6 +67,28 @@ class TestHelpAndUsage:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert str(out) in err
+
+
+class TestProblemFlags:
+    """The problem flags are the builders' arguments, read from their signatures."""
+
+    BUILDER_ARGS = [(kind, name, param.default)
+                    for kind, build in problems.BUILDERS.items()
+                    for name, param in inspect.signature(build).parameters.items()
+                    if name != "seed"]
+
+    @pytest.mark.parametrize("kind,name,default", BUILDER_ARGS)
+    def test_every_builder_argument_is_a_flag_typed_by_its_default(self, kind, name, default):
+        args = cli.build_parser().parse_args(["run", "--method", "gd", f"--{name}", "3"])
+        assert type(getattr(args, name)) is type(default)
+
+    @pytest.mark.parametrize("command", ["run", "compare", "diagnose"])
+    def test_help_shows_each_problem_default(self, command, capsys):
+        assert run_cli([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for kind, name, default in self.BUILDER_ARGS:
+            assert f"--{name} {name.upper()}" in text
+            assert f"{kind} (default {default})" in text
 
 
 PIECEWISE = ["--problem", "piecewise"]
@@ -188,6 +213,23 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        [*LOGISTIC, "--lam", "1e308"],
+        [*PIECEWISE, "--mu", "1e-300", "--lipschitz", "1e300"],
+        [*PIECEWISE, "--lipschitz", "1e300"],
+    ])
+    def test_oracle_overflow_prints_no_warning(self, flags, tmp_path, capsys):
+        # Newton-CG's difference quotients overflow before its gradient check
+        # stops the oracle; numpy's warnings must not print ahead of the error
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["run", "--method", "hnag", "--out", str(out), *flags]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == \
+            "error: minimizer oracle: non-finite gradient at call 4\n"
         assert not out.exists()
 
     def test_non_finite_oracle_start(self, tmp_path, monkeypatch, capsys):

@@ -671,6 +671,16 @@ class TestBuilderValidation:
             assert again.value(x) == f.value(x)
             assert np.array_equal(again.gradient(x), f.gradient(x))
 
+    @pytest.mark.parametrize("f", [
+        QuadraticObjective(np.eye(3), np.zeros(3), 1.0, 1.0),
+        PiecewiseSmoothObjective(np.ones((3, 2)), np.zeros(2), 1.0, 2.0, 1e-3),
+        LogisticObjective(np.ones((3, 2)), np.ones(2), 0.1, 1.0),
+    ], ids=["quadratic", "piecewise", "logistic"])
+    def test_ad_hoc_objective_has_no_description(self, f):
+        # only a builder describes what it built; rebuild could not replay the rest
+        with pytest.raises(ValueError, match="built ad hoc and has no description"):
+            f.description()
+
 
 class TestCertificates:
     def test_smoothness(self, problem_trio):

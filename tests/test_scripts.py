@@ -8,13 +8,15 @@ import sys
 from agmx import MethodKind
 from agmx.cli import COMPARISON_CSV_HEADER
 
-ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SCRIPTS = os.path.join(ROOT, "scripts")
 
 
-def test_verify_theory_passes_every_check():
-    # 7 contraction checks, 12 dissipation sweeps, 2 shift schedules
-    proc = subprocess.run([sys.executable, "scripts/verify_theory.py"], cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
+def test_verify_theory_passes_every_check(tmp_path):
+    # 7 contraction checks, 12 dissipation sweeps, 2 shift schedules; run
+    # from outside the repository, the script still finds its own agmx
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "verify_theory.py")],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[-1] == "0 failures"
@@ -22,9 +24,9 @@ def test_verify_theory_passes_every_check():
     assert not any(line.startswith("FAIL ") for line in lines)
 
 
-def test_benchmark_laplacian_table():
-    proc = subprocess.run([sys.executable, "scripts/benchmark_laplacian.py",
-                           "--sizes", "9,19", "--skip-gd"], cwd=ROOT,
+def test_benchmark_laplacian_table(tmp_path):
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "benchmark_laplacian.py"),
+                           "--sizes", "9,19", "--skip-gd"], cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
@@ -58,6 +60,27 @@ def test_trace_digests_lap9():
             "k", "f_gap", "grad_norm", "x_err_sq", "y_err_sq", "E", "E_shifted",
             "grad_shifted_sq"]
         assert all(re.fullmatch("[0-9a-f]{64}", value) for _, value in digests)
+
+
+def test_cli_digests_lap9(tmp_path):
+    # one line per command, a rerun prints the same bytes, and the grid
+    # reaches all four subcommands
+    argv = [sys.executable, os.path.join(SCRIPTS, "cli_digests.py"), "--problems", "lap9"]
+    runs = [subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+            for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) == 6 + 1 + 2 + 2 + 2 + 3
+    assert {line.split()[0] for line in lines} == {"run", "compare", "diagnose", "rates"}
+    for line in lines:
+        command, cells = line.split(" | ")
+        fields = dict(cell.split("=") for cell in cells.split())
+        assert list(fields) == ["exit", "stdout", "stderr", "out"]
+        assert all(re.fullmatch("[0-9a-f]{64}", fields[k]) for k in ("stdout", "stderr"))
+        assert fields["out"] == "none" or re.fullmatch("[0-9a-f]{64}", fields["out"])
+    assert [line.split(" | ")[1].split()[0] for line in lines[-3:]] == ["exit=1"] * 3
 
 
 def test_readme_library_example_runs():

@@ -39,6 +39,11 @@ class TestParseMethod:
     def test_aliases(self, name, kind):
         assert parse_method(name) is kind
 
+    @pytest.mark.parametrize("kind", list(MethodKind))
+    def test_every_value_is_a_name(self, kind):
+        assert parse_method(kind.value) is kind
+        assert parse_method(f" {kind.value.upper()} ") is kind
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="nosuch"):
             parse_method("nosuch")
@@ -111,6 +116,16 @@ class TestStepHandValues:
         st = init_state(MethodKind.HNAG, f, np.array([1.0]), p)
         with pytest.raises(ValueError):
             step(MethodKind.GD, st, f, p)
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_init_state_rejects_params_of_another_method(self, method):
+        # init_state checks the pair as step does, so no state is built
+        # from another method's constants
+        f = simple_1d_quadratic(1.0)
+        for other in MethodKind:
+            if other is not method:
+                with pytest.raises(ValueError, match="params were built for"):
+                    init_state(method, f, np.array([1.0]), make_params(other, 1.0, 1.0))
 
 
 class TestFixedPoint:
