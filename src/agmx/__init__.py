@@ -17,7 +17,6 @@ from .analysis import (
 from .core import (
     ObjectiveLike,
     ShiftedObjective,
-    SimpleObjective,
     Vector,
     bregman,
     bregman_asymmetry,
@@ -59,7 +58,6 @@ from .solvers import (
     SolverState,
     TerminalStatus,
     Trace,
-    forms_deviation,
     make_params,
     parse_method,
     solve,

@@ -234,15 +234,18 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     if isinstance(target, ContractionTheorem):
         trace = solvers.solve(f, config, x0)
         report = contraction_residuals(target, trace, f)
-        ok = report.passes()
+        passed = report.passes()
         summary = {
             "check": check,
             "iterations": trace.iterations,
+            "status": trace.status.value,
             "max_violation": report.max_violation,
             "tolerance": report.tolerance,
-            "violated_step": None if ok else int(report.argmax_k),
-            "pass": ok,
+            "violated_step": None if passed else int(report.argmax_k),
+            "pass": passed,
         }
+        # a trace cut off at --max-iter certifies only the steps it took
+        ok = passed and trace.status is TerminalStatus.CONVERGED
     else:
         # only E_PARTIAL's energy and bound read mu_hat
         report = strong_lyapunov_sweep(target, f, problems.Rng(seed + 1), args.states,

@@ -7,8 +7,7 @@ function with known strong-convexity and gradient-Lipschitz constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 from numpy.typing import NDArray
@@ -55,25 +54,6 @@ class ObjectiveLike(Protocol):
 
     def value_and_gradient(self, x: Vector) -> tuple[float, Vector]:
         return self.value(x), self.gradient(x)
-
-
-@dataclass
-class SimpleObjective(ObjectiveLike):
-    """Ad-hoc objective from plain callables, mostly for tests and demos."""
-
-    value_fn: Callable[[Vector], float]
-    grad_fn: Callable[[Vector], Vector]
-    dim: int
-    mu: float
-    lipschitz: float
-    hessian_lipschitz: Optional[float] = None
-    minimizer: Optional[Vector] = None
-
-    def value(self, x: Vector) -> float:
-        return float(self.value_fn(x))
-
-    def gradient(self, x: Vector) -> Vector:
-        return np.asarray(self.grad_fn(x), dtype=np.float64)
 
 
 class ShiftedObjective(ObjectiveLike):

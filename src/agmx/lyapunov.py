@@ -271,7 +271,6 @@ class ContractionReport:
     orders of magnitude over a run).
     """
 
-    theorem: ContractionTheorem
     k: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
@@ -321,7 +320,6 @@ def contraction_residuals(
     else:
         worst, max_violation = 0, 0.0
     return ContractionReport(
-        theorem=theorem,
         k=np.arange(len(residuals), dtype=np.int64),
         lhs=lhs,
         rhs=rhs,

@@ -311,11 +311,6 @@ def piecewise_h_prime(t, eps: float):
     return _on_support(t, eps, lambda tm: np.exp(-eps / tm) * (tm + 0.5 * eps))
 
 
-def piecewise_h_second(t, eps: float):
-    return _on_support(
-        t, eps, lambda tm: np.exp(-eps / tm) * (1.0 + eps / tm + 0.5 * (eps / tm) ** 2))
-
-
 class PiecewiseSmoothObjective(_Problem):
     """f(x) = sum_i h(a_i . x - b_i) + mu/2 ||x||^2 with h as above.
 

@@ -8,11 +8,12 @@ The Hessian-driven methods come in three flavours sharing one state layout
                  (coefficients 1/L in x, 2/L in v).
 * ``HNAG_BOX``   the alternative box ordering: v-update first, then x-update,
                  both from the gradient at the old point (coefficients 1/L in
-                 v, 2/L in x).  Kept verbatim because the two orderings do not
-                 produce the same trajectory; ``forms_deviation`` measures the
-                 gap.
+                 v, 2/L in x).  Kept as a diagnostic twin: on stiff problems
+                 it diverges where ``HNAG`` converges (see
+                 ``tests/test_solvers.py::TestBoxOrdering``).
 * ``HNAG_PLUS``  rescaled variant: smaller step alpha = sqrt(mu/L), double
-                 weight on the auxiliary sequence in the x-update.
+                 weight on the auxiliary sequence in the x-update.  It runs
+                 ``HNAG``'s kernel with its own row of ``_HNAG_COEFFS``.
 
 ``HNAG++`` is accepted everywhere as an alias of ``HNAG``: it is the same
 iteration, only analyzed more sharply, so there is nothing separate to run.
@@ -42,12 +43,12 @@ class MethodKind(enum.Enum):
     HNAG_BOX = "hnag_box"
 
 
-# The Hessian-driven family's step constants: alpha^2 in units of mu/L, and
-# the x- and v-gradient weights in units of 1/L.
+# The Hessian-driven family's step constants: alpha^2 in units of mu/L, the
+# x- and v-gradient weights in units of 1/L, and v's weight in the x-update.
 _HNAG_COEFFS = {
-    MethodKind.HNAG: (2.0, 1.0, 2.0),
-    MethodKind.HNAG_PLUS: (1.0, 1.0, 1.0),
-    MethodKind.HNAG_BOX: (2.0, 2.0, 1.0),
+    MethodKind.HNAG: (2.0, 1.0, 2.0, 1.0),
+    MethodKind.HNAG_PLUS: (1.0, 1.0, 1.0, 2.0),
+    MethodKind.HNAG_BOX: (2.0, 2.0, 1.0, 1.0),
 }
 HNAG_FAMILY = tuple(_HNAG_COEFFS)
 
@@ -115,7 +116,7 @@ def make_params(method: MethodKind, mu: float, lipschitz: float) -> MethodParams
     common = dict(method=method, inv_lipschitz=1.0 / L)
 
     if method in _HNAG_COEFFS:
-        a, x_c, v_c = _HNAG_COEFFS[method]
+        a, x_c, v_c, _ = _HNAG_COEFFS[method]
         alpha_sq = a * mu / L
         return MethodParams(
             **common, alpha=np.sqrt(alpha_sq), alpha_sq=alpha_sq, alpha_beta=1.0 / L,
@@ -215,13 +216,10 @@ def _advance(params: MethodParams, f: ObjectiveLike, src: SolverState,
     method, a = params.method, params.alpha
 
     if method is MethodKind.HNAG or method is MethodKind.HNAG_PLUS:
-        if method is MethodKind.HNAG:
-            # x_new = (x + aux - x_c g) / (1 + a)
-            _combine(x, aux, params.x_grad_coeff, g, 1.0 + a, x_new, tmp)
-        else:
-            # x_new = (x + 2 aux - x_c g) / (1 + 2a)
-            np.multiply(aux, 2.0, out=x_new)
-            _combine(x, x_new, params.x_grad_coeff, g, 1.0 + 2.0 * a, x_new, tmp)
+        # x_new = (x + c aux - x_c g) / (1 + c a), where c aux is aux itself at c = 1
+        c = _HNAG_COEFFS[method][3]
+        v = aux if c == 1.0 else np.multiply(aux, c, out=x_new)
+        _combine(x, v, params.x_grad_coeff, g, 1.0 + c * a, x_new, tmp)
         dst.f_cache, dst.grad_cache = f.value_and_gradient(x_new)
         # aux_new = (aux + alpha^2 x_new - v_c g_new) / (1 + a)
         np.multiply(x_new, params.alpha_sq, out=aux_new)
@@ -406,23 +404,3 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
 
     return Trace(method, status, np.arange(len(rows), dtype=np.int64),
                  *map(np.asarray, zip(*rows)))
-
-
-def forms_deviation(f: ObjectiveLike, x0: Vector, k: int) -> float:
-    """Max gap ||x_j^scheme - x_j^box|| over j <= k from identical starts.
-
-    Quantifies the disagreement between the canonical scheme ordering and the
-    box ordering of the same update; zero only in degenerate cases.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    p_s = make_params(MethodKind.HNAG, f.mu, f.lipschitz)
-    p_b = make_params(MethodKind.HNAG_BOX, f.mu, f.lipschitz)
-    st_s = init_state(MethodKind.HNAG, f, x0, p_s)
-    st_b = init_state(MethodKind.HNAG_BOX, f, x0, p_b)
-    dev = 0.0
-    for _ in range(k):
-        st_s = step(MethodKind.HNAG, st_s, f, p_s)
-        st_b = step(MethodKind.HNAG_BOX, st_b, f, p_b)
-        dev = max(dev, float(np.linalg.norm(st_s.x - st_b.x)))
-    return dev

@@ -1,7 +1,11 @@
-"""Shared test objects: bespoke quadratics, a quartic, counting wrappers,
-the per-method reference parameters, the allocating reference step and solve
-loop, the two-gradient reference minimizer oracle, and the reference energies
-and dissipation terms evaluated through ``bregman`` and ``ShiftedObjective``."""
+"""Shared test objects: an objective from plain callables, bespoke
+quadratics, a quartic, counting wrappers, the per-method reference
+parameters, the allocating reference step and solve loop, the two-gradient
+reference minimizer oracle, and the reference energies and dissipation terms
+evaluated through ``bregman`` and ``ShiftedObjective``."""
+
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -11,11 +15,10 @@ from agmx import (
     MethodKind,
     QuadraticObjective,
     ShiftedObjective,
-    SimpleObjective,
     bregman,
     bregman_asymmetry,
 )
-from agmx.core import ObjectiveLike
+from agmx.core import ObjectiveLike, Vector
 from agmx.solvers import (
     HNAG_FAMILY,
     DivergenceError,
@@ -23,6 +26,25 @@ from agmx.solvers import (
     SolverState,
     make_params,
 )
+
+
+@dataclass
+class SimpleObjective(ObjectiveLike):
+    """Ad-hoc objective from plain callables."""
+
+    value_fn: Callable[[Vector], float]
+    grad_fn: Callable[[Vector], Vector]
+    dim: int
+    mu: float
+    lipschitz: float
+    hessian_lipschitz: Optional[float] = None
+    minimizer: Optional[Vector] = None
+
+    def value(self, x: Vector) -> float:
+        return float(self.value_fn(x))
+
+    def gradient(self, x: Vector) -> Vector:
+        return np.asarray(self.grad_fn(x), dtype=np.float64)
 
 
 def diagonal_quadratic(lams, center=None):

@@ -18,6 +18,7 @@ from agmx.analysis import (
 from agmx.solvers import DivergenceError, make_params, solve
 
 from _helpers import (
+    SimpleObjective,
     count_calls_at_class,
     diagonal_quadratic,
     reference_find_minimizer,
@@ -66,8 +67,8 @@ class TestFindMinimizer:
             calls.append(1)
             return np.full(3, bad)
 
-        f = agmx.SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
-                                 mu=1.0, lipschitz=2.0)
+        f = SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
+                            mu=1.0, lipschitz=2.0)
         with pytest.raises(OracleError, match="not finite"):
             find_minimizer(f)
         assert len(calls) == 1
@@ -81,8 +82,8 @@ class TestFindMinimizer:
             calls.append(1)
             return np.full(3, bad) if len(calls) == 4 else x - 1.0
 
-        f = agmx.SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
-                                 mu=1.0, lipschitz=2.0)
+        f = SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
+                            mu=1.0, lipschitz=2.0)
         with pytest.raises(OracleError, match="at iteration 3, not finite"):
             _nag_from_zero(f)
         assert len(calls) == 4
@@ -94,8 +95,8 @@ class TestFindMinimizer:
             calls.append(1)
             return x - 1.0
 
-        f = agmx.SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
-                                 mu=1.0, lipschitz=2.0)
+        f = SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
+                            mu=1.0, lipschitz=2.0)
         with pytest.raises(OracleError, match="hit 5 iterations"):
             _nag_from_zero(f, max_iter=5)
         assert len(calls) == 6
@@ -134,8 +135,8 @@ class TestFindMinimizer:
             calls.append(1)
             return np.full(3, bad) if len(calls) == call else x - 1.0
 
-        f = agmx.SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
-                                 mu=1.0, lipschitz=2.0)
+        f = SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=3,
+                            mu=1.0, lipschitz=2.0)
         with pytest.raises(OracleError, match=f"non-finite gradient at call {call}$"):
             find_minimizer(f)
         assert len(calls) == call
@@ -212,8 +213,8 @@ class TestFindMinimizer:
             r = x - c
             return mu * r + U @ (U.T @ r)
 
-        f = agmx.SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=dim,
-                                 mu=mu, lipschitz=kappa * mu)
+        f = SimpleObjective(value_fn=lambda x: 0.0, grad_fn=grad, dim=dim,
+                            mu=mu, lipschitz=kappa * mu)
         xstar = find_minimizer(f)
         assert np.linalg.norm(grad(xstar)) <= 1e-12 * np.linalg.norm(grad(np.zeros(dim)))
         assert np.linalg.norm(xstar - c) <= 1e-8 * np.linalg.norm(c)
@@ -367,7 +368,7 @@ class TestCompare:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_recorded_not_fatal(self):
         # understated smoothness constant makes GD's step explosive
-        lying = agmx.SimpleObjective(
+        lying = SimpleObjective(
             value_fn=lambda x: 50.0 * float(x @ x),
             grad_fn=lambda x: 100.0 * x,
             dim=2, mu=1.0, lipschitz=2.0, minimizer=np.zeros(2),

@@ -10,7 +10,6 @@ from agmx import (
     LyapunovKind,
     RateRegime,
     Rng,
-    SimpleObjective,
     SolverConfig,
     build_laplacian2d,
     build_piecewise,
@@ -23,6 +22,8 @@ from agmx import (
     theoretical_rate,
 )
 from agmx.solvers import DivergenceError, MethodKind
+
+from _helpers import SimpleObjective
 
 LAP9 = ["--problem", "laplacian2d", "--n", "9"]
 
@@ -392,6 +393,8 @@ class TestDiagnose:
         lines = out.read_text().splitlines()
         assert lines[0] == "k,lhs,rhs,residual"
         report = json.loads(capsys.readouterr().out)
+        assert list(report)[:3] == ["check", "iterations", "status"]
+        assert report["status"] == "converged"
         assert report["pass"] is True
         assert report["violated_step"] is None
         f = build_laplacian2d(39)
@@ -399,6 +402,18 @@ class TestDiagnose:
         rep = contraction_residuals(ContractionTheorem.THM_HNAG_FUNCVAL, trace, f)
         assert report["tolerance"] == rep.tolerance
         assert report["max_violation"] == rep.max_violation
+
+    @pytest.mark.parametrize("check", ["thm_hnag_funcval", "thm_hnag_plus",
+                                       "prop_quadratic"])
+    def test_unconverged_trace_exits_2(self, check, capsys):
+        # the five steps pass the check, but the trace stopped at --max-iter
+        rc = run_cli(["diagnose", "--problem", "laplacian2d", "--n", "39",
+                      "--check", check, "--max-iter", "5"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 2
+        assert report["iterations"] == 5
+        assert report["status"] == "max_iter"
+        assert report["pass"] is True
 
     def test_strong_sweep(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

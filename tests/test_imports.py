@@ -1,5 +1,6 @@
-"""No module under src/agmx imports a name it never uses, and startup
-imports no scipy.
+"""No module under src/agmx imports a name it never uses, every name the
+package exports is read by code outside the tests, and startup imports no
+scipy.
 
 ``__init__.py`` is left out of the unused-import guard: its imports are the
 package's public names.  An import statement may keep an unused binding only
@@ -16,8 +17,12 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "agmx"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "agmx"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# Exports that only the acceptance tests read: check_gradient (criterion 02)
+# and asymmetry_bound_check (criterion 08).
+TEST_ONLY_EXPORTS = {"check_gradient", "asymmetry_bound_check"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,6 +57,52 @@ def test_guard_catches_an_unused_import():
               "    kept,\n    used,\n    stray,\n)\n"
               "import os.path\nimport json as js\n\nprint(used)\n")
     assert unused_imports(source) == ["stray (line 4)", "os (line 6)", "js (line 7)"]
+
+
+def reads(source: str) -> set[str]:
+    """The names ``source`` reads: a loaded Name, a loaded Attribute's attr or
+    a str constant (which covers bench/instrument.py's TARGETS), except a
+    name read inside its own def or class."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def exported_names() -> list[str]:
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_every_export_is_read_outside_the_tests():
+    files = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+             *(ROOT / "bench").glob("*.py")]
+    read = set().union(*(reads(p.read_text()) for p in files))
+    exported = exported_names()
+    assert TEST_ONLY_EXPORTS <= set(exported)
+    assert [name for name in exported
+            if name not in read and name not in TEST_ONLY_EXPORTS] == []
+
+
+def test_reads_skips_a_name_inside_its_own_definition():
+    source = "def f():\n    return f, g.attr, 'h'\n\nclass C:\n    x = C\n\nk = 1\n"
+    assert reads(source) == {"g", "attr", "h"}
 
 
 @pytest.mark.parametrize("run", [False, True], ids=["import", "laplacian_run"])

@@ -27,6 +27,7 @@ from agmx.core import DimensionError, MinimizerUnknownError, ShiftedObjective
 
 from _helpers import (
     CountingObjective,
+    SimpleObjective,
     count_calls_at_class,
     diagonal_quadratic,
     reference_lyapunov,
@@ -286,8 +287,8 @@ class TestSharedAnchor:
             calls["n"] += 1
             return np.full_like(x, np.nan) if calls["n"] == 4 else x.copy()
 
-        f = agmx.SimpleObjective(lambda x: 0.5 * float(x @ x), grad, dim=3, mu=1.0,
-                                 lipschitz=1.0, minimizer=np.zeros(3))
+        f = SimpleObjective(lambda x: 0.5 * float(x @ x), grad, dim=3, mu=1.0,
+                            lipschitz=1.0, minimizer=np.zeros(3))
         rep = strong_lyapunov_sweep(LyapunovKind.E_HNAG, f, agmx.Rng(1), 5, SCALES)
         assert rep.worst_k == 2          # the anchor takes the first gradient
         assert np.isnan(rep.worst_margin)

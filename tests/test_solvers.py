@@ -8,7 +8,6 @@ from agmx import MethodKind, SolverConfig, TerminalStatus
 from agmx.core import DimensionError
 from agmx.solvers import (
     DivergenceError,
-    forms_deviation,
     init_state,
     make_params,
     parse_method,
@@ -18,6 +17,7 @@ from agmx.solvers import (
 
 from _helpers import (
     CountingObjective,
+    SimpleObjective,
     count_calls_at_class,
     diagonal_quadratic,
     reference_make_params,
@@ -198,22 +198,7 @@ class TestSchemeFormConsistency:
             assert np.linalg.norm(st.aux / p.alpha - y) <= 1e-12 * scale
 
 
-class TestFormsDeviation:
-    def test_zero_steps(self, lap9):
-        assert forms_deviation(lap9, agmx.Rng(0).uniform(lap9.dim), 0) == 0.0
-
-    def test_fixed_point_start(self, lap9):
-        assert forms_deviation(lap9, lap9.minimizer, 25) == 0.0
-
-    def test_one_dimensional_gap(self):
-        f = simple_1d_quadratic(1.0)
-        gap = forms_deviation(f, np.array([1.0]), 1)
-        assert gap == pytest.approx(2.0 - SQRT2, abs=1e-12)
-
-    def test_forms_really_differ(self, lap9):
-        x0 = agmx.Rng(0).uniform(lap9.dim)
-        assert forms_deviation(lap9, x0, 20) > 0.0
-
+class TestBoxOrdering:
     def test_box_ordering_unstable_on_stiff_problems(self, lap19):
         # The box ordering swaps the 1/L and 2/L gradient weights relative to
         # the scheme; its per-mode iteration matrix at lambda = L has spectral
@@ -293,7 +278,7 @@ class TestSolve:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_detected_with_iteration_index(self):
         # concave impostor: gradient pushes away from the declared minimizer
-        f = agmx.SimpleObjective(
+        f = SimpleObjective(
             value_fn=lambda x: -0.5e100 * float(x @ x),
             grad_fn=lambda x: -1e100 * x,
             dim=2, mu=1.0, lipschitz=1.0, minimizer=np.zeros(2),
@@ -408,7 +393,7 @@ def nan_gradient_at_call(j):
             g[1] = np.nan
         return g
 
-    return agmx.SimpleObjective(
+    return SimpleObjective(
         value_fn=lambda x: 0.5 * float(x @ (lams * x)), grad_fn=grad,
         dim=4, mu=1.0, lipschitz=10.0, minimizer=np.zeros(4))
 
