@@ -15,8 +15,8 @@ Problems are ``lapN`` (laplacian2d on an N x N grid, seed 42), ``piecewise``
 (seed 7) and ``logistic`` (seed 42), builder defaults otherwise.  For each:
 all six ``diagnose`` checks with their residual CSVs, ``strong_partial
 --mu-hat-frac 1.0``, ``run`` under both regimes, and ``compare`` as CSV and
-JSON.  Then, whatever the problems, ``rates`` as CSV and JSON and three
-error cases.
+JSON.  Then, whatever the problems, ``rates`` as CSV and JSON and four
+error cases, the last a sweep too large to allocate.
 
 Usage: python scripts/cli_digests.py [--problems lap43,lap178,piecewise,logistic]
 """
@@ -41,6 +41,7 @@ ERRORS = [
     ["run", "--problem", "laplacian2d", "--d", "20", "--lam", "5", "--method", "nag",
      "--out", "OUT"],
     ["compare", "--methods", "gd,hnag", "--format", "xml"],
+    ["diagnose", "--n", "3", "--check", "strong_hnag", "--states", "1000000000000000000"],
 ]
 
 

@@ -249,14 +249,16 @@ def compare(
     """Run each method from the same start under the same stopping rule.
 
     The measured rate is ``measured_rate`` of each trace.  A diverging method
-    yields a row flagged 'diverged' instead of aborting the batch.
+    yields a row flagged 'diverged' instead of aborting the batch.  The rows
+    read no energy, so each solve runs with ``energies=False``: its steps
+    evaluate gradients only, and it stops where the full solve would.
     """
     kappa = f.lipschitz / f.mu
     rows = []
     for method in methods:
         t0 = time.perf_counter()
         try:
-            trace = solve(f, replace(config, method=method), x0)
+            trace = solve(f, replace(config, method=method), x0, energies=False)
         except DivergenceError as err:
             trace, diverged_at = None, err.iteration
         elapsed = time.perf_counter() - t0

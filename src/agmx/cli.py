@@ -6,7 +6,8 @@ Subcommands: ``run`` (one method, trace CSV + JSON summary), ``compare``
 with the same flags and seed, runtime columns excepted.
 
 Exit codes: 0 success, 1 usage or configuration error (a missing, empty or
-unwritable --out included), 2 non-convergence or failed check, 3 divergence.  The seed comes
+unwritable --out included, and a size too large to allocate), 2
+non-convergence or failed check, 3 divergence.  The seed comes
 from --seed, else the AGMX_SEED environment variable, else 42.  The start
 vector x0 is drawn componentwise from Unif(0,1) with a fresh Rng(seed);
 diagnose sweep states use Rng(seed+1).
@@ -289,6 +290,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _DIVERGED
     except (ValueError, OSError, analysis.OracleError) as err:
         sys.stderr.write(f"error: {err}\n")
+        return _USAGE_ERROR
+    except MemoryError as err:   # numpy's names the size it could not allocate
+        sys.stderr.write(f"error: {str(err) or 'out of memory'}\n")
         return _USAGE_ERROR
 
 

@@ -298,6 +298,8 @@ def contraction_residuals(
             f"{theorem.value} applies to {expected.value} traces, "
             f"got {trace.method.value}"
         )
+    if trace.E is None:
+        raise ValueError("trace has no energies (solved with energies=False)")
     # the contraction factor is 1/(1 + w alpha) with the method's alpha: w = 1
     # for the function-value theorem, 2 for the two shifted-energy ones
     L = f.lipschitz

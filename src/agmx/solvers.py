@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -146,14 +146,15 @@ class SolverState:
     ``aux`` holds v = alpha * y for the Hessian-driven family, y for NAG, the
     pair (xi_k, xi_{k-1}) for TM, and mirrors x for GD.  ``grad_cache`` and
     ``f_cache`` are the gradient and value last evaluated at ``x``; the
-    stopping rule and the trace read them for free.
+    stopping rule and the trace read them for free.  ``f_cache`` is None
+    after a step that evaluated the gradient alone.
     """
 
     x: Vector
     aux: Vector
     k: int
     grad_cache: Vector
-    f_cache: float
+    f_cache: Optional[float]
 
 
 def _check_params(method: MethodKind, params: MethodParams) -> None:
@@ -201,15 +202,18 @@ def _combine(p: Vector, q: Vector, c: float, g: Vector, den: float,
     return np.divide(out, den, out=out)
 
 
-def _advance(params: MethodParams, f: ObjectiveLike, src: SolverState,
-             dst: SolverState, tmp: Vector) -> None:
+def _advance(params: MethodParams, f: ObjectiveLike,
+             evaluate: Callable[[Vector], tuple[Optional[float], Vector]],
+             src: SolverState, dst: SolverState, tmp: Vector) -> None:
     """The update kernel of ``params.method``: write the iterate after ``src`` into ``dst``.
 
     ``dst`` owns arrays shared with neither ``src`` nor ``tmp`` (scratch).
     Every update evaluates its formula operation by operation in the order
     the formula reads, so the iterates equal those of the plain array
-    expressions bit for bit.  The gradient at the new x comes from
-    ``f.value_and_gradient``; gradients are only read, never written.
+    expressions bit for bit.  ``evaluate`` gives ``dst.f_cache`` and
+    ``dst.grad_cache`` at the new x; NAG's and TM's gradient at their
+    extrapolated point comes from ``f.gradient``.  Gradients are only read,
+    never written.
     """
     x, aux, g = src.x, src.aux, src.grad_cache
     x_new, aux_new = dst.x, dst.aux
@@ -220,7 +224,7 @@ def _advance(params: MethodParams, f: ObjectiveLike, src: SolverState,
         c = _HNAG_COEFFS[method][3]
         v = aux if c == 1.0 else np.multiply(aux, c, out=x_new)
         _combine(x, v, params.x_grad_coeff, g, 1.0 + c * a, x_new, tmp)
-        dst.f_cache, dst.grad_cache = f.value_and_gradient(x_new)
+        dst.f_cache, dst.grad_cache = evaluate(x_new)
         # aux_new = (aux + alpha^2 x_new - v_c g_new) / (1 + a)
         np.multiply(x_new, params.alpha_sq, out=aux_new)
         _combine(aux, aux_new, params.v_grad_coeff, dst.grad_cache, 1.0 + a,
@@ -231,12 +235,12 @@ def _advance(params: MethodParams, f: ObjectiveLike, src: SolverState,
         _combine(aux, aux_new, params.v_grad_coeff, g, 1.0 + a, aux_new, tmp)
         # x_new = (x + aux_new - x_c g) / (1 + a)
         _combine(x, aux_new, params.x_grad_coeff, g, 1.0 + a, x_new, tmp)
-        dst.f_cache, dst.grad_cache = f.value_and_gradient(x_new)
+        dst.f_cache, dst.grad_cache = evaluate(x_new)
     elif method is MethodKind.GD:
         # x_new = x - step g
         np.multiply(g, params.gd_step, out=tmp)
         np.subtract(x, tmp, out=x_new)
-        dst.f_cache, dst.grad_cache = f.value_and_gradient(x_new)
+        dst.f_cache, dst.grad_cache = evaluate(x_new)
         dst.aux = x_new
     elif method is MethodKind.NAG:
         # x_new = y - g(y) / L;  y_new = x_new + momentum (x_new - x)
@@ -245,7 +249,7 @@ def _advance(params: MethodParams, f: ObjectiveLike, src: SolverState,
         np.subtract(x_new, x, out=aux_new)
         np.multiply(aux_new, params.momentum, out=aux_new)
         np.add(x_new, aux_new, out=aux_new)
-        dst.f_cache, dst.grad_cache = f.value_and_gradient(x_new)
+        dst.f_cache, dst.grad_cache = evaluate(x_new)
     elif method is MethodKind.TM:
         a_tm, b_tm, _, d_tm = params.tm_coeffs
         xi, xi_prev = aux[0], aux[1]
@@ -263,7 +267,7 @@ def _advance(params: MethodParams, f: ObjectiveLike, src: SolverState,
         np.multiply(xi, d_tm, out=tmp)
         np.subtract(x_new, tmp, out=x_new)
         np.copyto(aux_new[1], xi)
-        dst.f_cache, dst.grad_cache = f.value_and_gradient(x_new)
+        dst.f_cache, dst.grad_cache = evaluate(x_new)
     else:
         raise ValueError(f"unknown method {method!r}")
     dst.k = src.k + 1
@@ -284,7 +288,7 @@ def step(
     """Advance one iteration, returning a fresh state."""
     _check_params(method, params)
     new = _blank_like(state)
-    _advance(params, f, state, new, np.empty_like(state.x))
+    _advance(params, f, f.value_and_gradient, state, new, np.empty_like(state.x))
     if not (np.isfinite(new.x).all() and np.isfinite(new.aux).all()
             and np.isfinite(new.grad_cache).all()):
         raise DivergenceError(method, new.k)
@@ -317,19 +321,21 @@ class Trace:
     quantity), ``E`` the unshifted energy f-gap + mu/2 ||y - x*||^2, and
     ``E_shifted`` its fully shifted counterpart (y-weight mu for HNAG+, mu/2
     otherwise), and ``grad_shifted_sq`` = ||grad f(x_k) - mu (x_k - x*)||^2.
-    ``solve`` records every column; a trace rebuilt from the CSV columns
-    (which omit ``grad_shifted_sq``) leaves it None.
+    ``solve`` records every column, but ``solve(..., energies=False)``
+    leaves ``f_gap``, ``E``, ``E_shifted`` and ``grad_shifted_sq`` None; a
+    trace rebuilt from the CSV columns (which omit ``grad_shifted_sq``)
+    leaves that one None.
     """
 
     method: MethodKind
     status: TerminalStatus
     k: np.ndarray
-    f_gap: np.ndarray
+    f_gap: Optional[np.ndarray]
     grad_norm: np.ndarray
     x_err_sq: np.ndarray
     y_err_sq: np.ndarray
-    E: np.ndarray
-    E_shifted: np.ndarray
+    E: Optional[np.ndarray]
+    E_shifted: Optional[np.ndarray]
     grad_shifted_sq: Optional[np.ndarray] = None
 
     @property
@@ -337,7 +343,8 @@ class Trace:
         return len(self.k) - 1
 
 
-def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
+def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector, *,
+          energies: bool = True) -> Trace:
     """Run one method until the relative-gradient stopping rule or max_iter.
 
     Stopping rule: ||grad f(x_k)|| <= tol_rel_grad * ||grad f(x_0)||.
@@ -349,6 +356,13 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
     A non-finite iterate, auxiliary or gradient makes one of the recorded
     squared norms non-finite, so that check alone detects divergence, at the
     same iteration as ``step`` would.
+
+    With ``energies=False`` each step evaluates the gradient alone, and the
+    record skips f(x_k) and the shifted gradient: the trace's ``f_gap``,
+    ``E``, ``E_shifted`` and ``grad_shifted_sq`` are None, and every other
+    column, the status and a divergence's iteration are bit for bit those of
+    the full solve.  The only values taken are f(x_0) and f(x*), plus f(x_k)
+    on a step past the bound stated in ``record``.
     """
     if f.minimizer is None:
         raise MinimizerUnknownError(
@@ -363,10 +377,18 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
     fstar = f.value(xstar)
     mu = f.mu
     y_weight = mu if method is MethodKind.HNAG_PLUS else 0.5 * mu
+    x_scale = max(1.0, mu * mu)
     dx_buf, dy_buf, tmp = (np.empty_like(state.x) for _ in range(3))
     zero_xstar = all_positive_zero(xstar)   # then x - x* is x bit for bit
+    if energies:
+        evaluate = f.value_and_gradient
+    else:
+        def evaluate(x: Vector) -> tuple[None, Vector]:
+            return None, f.gradient(x)
 
-    rows: list[tuple[float, ...]] = []   # one per step, in Trace field order
+    # one per step: grad_norm, x_err_sq, y_err_sq, then with energies
+    # f_gap, E, E_shifted and grad_shifted_sq
+    rows: list[tuple[float, ...]] = []
 
     # squared quantities can overflow long before coordinates do; treat that
     # as divergence rather than recording infinities.  As a decorator,
@@ -376,31 +398,47 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector) -> Trace:
         dx, dy = st.x, _read_y(st, params, dy_buf, tmp)
         if not zero_xstar:
             dx, dy = np.subtract(dx, xstar, out=dx_buf), np.subtract(dy, xstar, out=dy_buf)
-        f_gap = st.f_cache - fstar
         x_err = float(dx @ dx)
         y_err = float(dy @ dy)
+        g_sq = float(st.grad_cache @ st.grad_cache)
         # the rounding of np.linalg.norm on a real vector, in one call
-        grad_norm = math.sqrt(st.grad_cache @ st.grad_cache)
+        row = (math.sqrt(g_sq), x_err, y_err)
+        if not all(map(math.isfinite, row)):
+            raise DivergenceError(method, st.k)
+        # With g = grad f(x_k) and dx = x_k - x*, convexity gives
+        #   f(x_k) - f(x*) <= <g, dx> <= (g.g + ||dx||^2) / 2,
+        # and ||g - mu dx||^2 <= 2 (g.g + mu^2 ||dx||^2).  So while
+        # g.g + max(1, mu^2) ||dx||^2 <= 1e300 both skipped columns are
+        # finite and could not stop the run; past it they are evaluated and
+        # tested as a full record would.  f(x_0) and f(x*) are always tested.
+        if st.f_cache is None and g_sq + x_scale * x_err <= 1e300:
+            rows.append(row)
+            return
+        f_gap = (f.value(st.x) if st.f_cache is None else st.f_cache) - fstar
         np.multiply(dx, mu, out=tmp)
         np.subtract(st.grad_cache, tmp, out=tmp)
         gsh_sq = float(tmp @ tmp)
-        if not all(map(math.isfinite, (f_gap, x_err, y_err, grad_norm, gsh_sq))):
+        if not (math.isfinite(f_gap) and math.isfinite(gsh_sq)):
             raise DivergenceError(method, st.k)
-        rows.append((f_gap, grad_norm, x_err, y_err, f_gap + 0.5 * mu * y_err,
-                     f_gap - 0.5 * mu * x_err + y_weight * y_err, gsh_sq))
+        if energies:
+            row += (f_gap, f_gap + 0.5 * mu * y_err,
+                    f_gap - 0.5 * mu * x_err + y_weight * y_err, gsh_sq)
+        rows.append(row)
 
     record(state)
-    threshold = config.tol_rel_grad * rows[0][1]
+    threshold = config.tol_rel_grad * rows[0][0]
     status = TerminalStatus.MAX_ITER
     while True:
-        if rows[-1][1] <= threshold:
+        if rows[-1][0] <= threshold:
             status = TerminalStatus.CONVERGED
             break
         if state.k >= config.max_iter:
             break
-        _advance(params, f, state, spare, tmp)
+        _advance(params, f, evaluate, state, spare, tmp)
         state, spare = spare, state
         record(state)
 
-    return Trace(method, status, np.arange(len(rows), dtype=np.int64),
-                 *map(np.asarray, zip(*rows)))
+    grad_norm, x_err_sq, y_err_sq, *energy = map(np.asarray, zip(*rows))
+    f_gap, E, E_shifted, grad_shifted_sq = energy or (None,) * 4
+    return Trace(method, status, np.arange(len(rows), dtype=np.int64), f_gap,
+                 grad_norm, x_err_sq, y_err_sq, E, E_shifted, grad_shifted_sq)

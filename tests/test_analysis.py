@@ -365,6 +365,20 @@ class TestCompare:
         assert len(lines) == 3
         assert lines[1].startswith("gd,")
 
+    @pytest.mark.parametrize("problem", ["piecewise_default", "logistic_default"])
+    def test_values_only_at_start_and_minimizer(self, problem, request, monkeypatch):
+        # the table reads no energy, so each method's solve takes f(x0) and
+        # f(x*) and otherwise gradients only, one per step (two for nag, tm)
+        f = request.getfixturevalue(problem)
+        calls = count_calls_at_class(monkeypatch, type(f), ("value", "gradient"))
+        methods = [m for m in MethodKind if m is not MethodKind.GD]   # gd: ~1e5 steps
+        rows = compare(f, methods, SolverConfig(method=MethodKind.HNAG, max_iter=3000),
+                       agmx.Rng(42).uniform(f.dim))
+        assert calls["value"] <= 2 * len(methods)
+        per_step = {MethodKind.NAG: 2, MethodKind.TM: 2}
+        assert calls["gradient"] == sum(1 + per_step.get(r.method, 1) * r.iterations
+                                        for r in rows)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_recorded_not_fatal(self):
         # understated smoothness constant makes GD's step explosive

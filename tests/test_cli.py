@@ -233,6 +233,22 @@ class TestErrorPaths:
             "error: minimizer oracle: non-finite gradient at call 4\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--n", "3", "--check", "strong_hnag", "--states", str(10**18)],
+        ["run", "--method", "hnag", "--n", str(10**9), "--out", "@OUT"],
+        ["run", "--method", "hnag", *PIECEWISE, "--d", str(10**17), "--out", "@OUT"],
+    ])
+    def test_too_large_to_allocate(self, argv, tmp_path, capsys):
+        # each first array is over 2**57 bytes, more than any address space
+        # maps, so numpy's MemoryError comes at once, with nothing touched
+        out = tmp_path / "t.csv"
+        assert run_cli([str(out) if a == "@OUT" else a for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_finite_oracle_start(self, tmp_path, monkeypatch, capsys):
         # an objective whose gradient at 0 is not finite stops the oracle at once
         calls = []

@@ -430,6 +430,13 @@ class TestContraction:
             contraction_residuals(ContractionTheorem.PROP_QUADRATIC, from_csv, lap9)
         assert contraction_residuals(ContractionTheorem.PROP_QUADRATIC, tr, lap9).passes()
 
+    @pytest.mark.parametrize("theorem", list(ContractionTheorem))
+    def test_needs_energies(self, theorem, lap9):
+        tr = solve(lap9, SolverConfig(method=CHECKS[theorem.value][1]),
+                   agmx.Rng(1).uniform(lap9.dim), energies=False)
+        with pytest.raises(ValueError, match="energies=False"):
+            contraction_residuals(theorem, tr, lap9)
+
     def test_report_csv_columns(self, lap9, tmp_path, capsys):
         out = tmp_path / "r.csv"
         assert cli.main(["diagnose", "--problem", "laplacian2d", "--n", "9",

@@ -409,6 +409,9 @@ class TestDivergenceParity:
         with pytest.raises(DivergenceError) as err:
             solve(nan_gradient_at_call(j), cfg, np.ones(4))
         assert err.value.iteration == expected
+        with pytest.raises(DivergenceError) as lean:
+            solve(nan_gradient_at_call(j), cfg, np.ones(4), energies=False)
+        assert lean.value.iteration == expected
         with pytest.raises(DivergenceError) as ref:
             reference_solve(nan_gradient_at_call(j), method, np.ones(4))
         assert ref.value.iteration == expected
@@ -428,6 +431,85 @@ class TestDivergenceParity:
             solve(f, SolverConfig(method=MethodKind.HNAG_BOX),
                   agmx.Rng(42).uniform(f.dim))
         assert err.value.iteration == 846
+
+
+@pytest.fixture(scope="module")
+def lap43():
+    return agmx.build_laplacian2d(43)
+
+
+@pytest.fixture(scope="module")
+def piecewise_seed7():
+    return agmx.ensure_minimizer(agmx.build_piecewise(seed=7))
+
+
+def solve_or_divergence(f, method, max_iter, seed=42, **kwargs):
+    """(trace, None) from ``solve`` from Rng(seed).uniform, or (None, the
+    DivergenceError's iteration)."""
+    try:
+        return solve(f, SolverConfig(method=method, max_iter=max_iter),
+                     agmx.Rng(seed).uniform(f.dim), **kwargs), None
+    except DivergenceError as err:
+        return None, err.iteration
+
+
+class ValueSteps(CountingObjective):
+    """Counting objective that notes, at each value call, how many gradients
+    had been taken; in a one-gradient-per-step solve, call c is step c - 1."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.grads_before_value = []
+
+    def value(self, x):
+        self.grads_before_value.append(self.grad_calls)
+        return super().value(x)
+
+
+class TestGradientOnlySolve:
+    """``solve(..., energies=False)`` against the full solve."""
+
+    # gd needs ~1e5 steps on the nonquadratics, hnag_box 1e6 on piecewise
+    MAX_ITER = 3000
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    @pytest.mark.parametrize("problem,seed", [("lap43", 42), ("piecewise_seed7", 7),
+                                              ("logistic_default", 42)])
+    def test_same_steps_and_columns(self, problem, seed, method, request):
+        f = request.getfixturevalue(problem)
+        full, full_div = solve_or_divergence(f, method, self.MAX_ITER, seed)
+        lean, lean_div = solve_or_divergence(f, method, self.MAX_ITER, seed, energies=False)
+        assert lean_div == full_div
+        if full is None:
+            return
+        assert lean.status is full.status
+        for col in ("k", "grad_norm", "x_err_sq", "y_err_sq"):
+            assert np.array_equal(getattr(lean, col), getattr(full, col)), col
+        for col in ("f_gap", "E", "E_shifted", "grad_shifted_sq"):
+            assert getattr(lean, col) is None, col
+
+    def test_values_taken_only_past_the_bound(self, lap43):
+        # lap43's hnag_box blows up geometrically: the record takes f(x_k)
+        # again on its last steps, once g.g + max(1, mu^2) ||x - x*||^2
+        # passes 1e300, and at no step before
+        f = ValueSteps(lap43)
+        with pytest.raises(DivergenceError) as err:
+            solve(f, SolverConfig(method=MethodKind.HNAG_BOX), agmx.Rng(42).uniform(f.dim),
+                  energies=False)
+        assert err.value.iteration == 846
+        # f(x_0) in init_state, f(x*), then one per record past the bound
+        assert f.grads_before_value[:2] == [0, 1]
+        steps = [c - 1 for c in f.grads_before_value[2:]]
+        assert steps and steps == list(range(steps[0], 846))
+        p = make_params(MethodKind.HNAG_BOX, f.mu, f.lipschitz)
+        st = init_state(MethodKind.HNAG_BOX, lap43, agmx.Rng(42).uniform(f.dim), p)
+        for k in range(steps[0] + 1):
+            if k >= steps[0] - 1:
+                dx = st.x - lap43.minimizer
+                bound = float(st.grad_cache @ st.grad_cache) + \
+                    max(1.0, f.mu**2) * float(dx @ dx)
+                assert (bound > 1e300) == (k == steps[0]), k
+            st = step(MethodKind.HNAG_BOX, st, lap43, p)
 
 
 class TestCountingAndAliasing:
