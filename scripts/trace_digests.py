@@ -2,12 +2,16 @@
 """SHA-256 digests of every Trace column over a grid of solves.
 
 Prints one line per (problem, seed, method): the iteration count, the
-terminal status, and for each Trace column the SHA-256 of its dtype string
-and raw bytes.  Two trees whose lines match produce bit-identical traces
-on the grid, so diffing this output is the byte-identity check for a change
-that should leave every trace as it was.  Start vectors and problem seeds
-follow the CLI: x0 = Rng(seed).uniform(dim), piecewise and logistic built
-at that seed, tolerance 1e-8 and the CLI's default iteration cap.
+terminal status, for each Trace column the SHA-256 of its dtype string and
+raw bytes, and ``lean=same`` or ``lean=differs``.  Two trees whose lines
+match produce bit-identical traces on the grid, so diffing this output is
+the byte-identity check for a change that should leave every trace as it
+was.  ``lean=same`` says that the gradient-only solve (``energies=False``,
+as ``compare`` runs it) gave the same status, the same divergence step and
+bit-equal ``k``, ``grad_norm``, ``x_err_sq`` and ``y_err_sq``.  Start
+vectors and problem seeds follow the CLI: x0 = Rng(seed).uniform(dim),
+piecewise and logistic built at that seed, tolerance 1e-8 and the CLI's
+default iteration cap.
 
 Problems are ``lapN`` (the Laplacian on an N x N grid), ``piecewise`` and
 ``logistic`` (builder defaults).
@@ -29,6 +33,8 @@ import agmx
 from agmx import DivergenceError, MethodKind, SolverConfig, Trace, parse_method, solve
 
 COLUMNS = [f.name for f in dataclasses.fields(Trace) if f.name not in ("method", "status")]
+# the columns a gradient-only solve records
+LEAN_COLUMNS = ("k", "grad_norm", "x_err_sq", "y_err_sq")
 
 
 def build(name: str, seed: int):
@@ -45,14 +51,27 @@ def digest(column) -> str:
     return hashlib.sha256(column.dtype.str.encode() + b":" + column.tobytes()).hexdigest()
 
 
+def solve_or_divergence(f, method: MethodKind, seed: int, energies: bool):
+    """(trace, None), or (None, the DivergenceError's iteration)."""
+    try:
+        return solve(f, SolverConfig(method=method), agmx.Rng(seed).uniform(f.dim),
+                     energies=energies), None
+    except DivergenceError as err:
+        return None, err.iteration
+
+
 def line(name: str, f, method: MethodKind, seed: int) -> str:
     head = f"{name} {method.value} seed={seed}"
-    try:
-        trace = solve(f, SolverConfig(method=method), agmx.Rng(seed).uniform(f.dim))
-    except DivergenceError as err:
-        return f"{head} iterations={err.iteration} status=diverged"
+    trace, diverged = solve_or_divergence(f, method, seed, True)
+    lean, lean_diverged = solve_or_divergence(f, method, seed, False)
+    same = diverged == lean_diverged and (trace is None or (
+        lean.status is trace.status
+        and all(digest(getattr(lean, c)) == digest(getattr(trace, c)) for c in LEAN_COLUMNS)))
+    parity = f"lean={'same' if same else 'differs'}"
+    if trace is None:
+        return f"{head} iterations={diverged} status=diverged {parity}"
     cells = " ".join(f"{c}={digest(getattr(trace, c))}" for c in COLUMNS)
-    return f"{head} iterations={trace.iterations} status={trace.status.value} {cells}"
+    return f"{head} iterations={trace.iterations} status={trace.status.value} {cells} {parity}"
 
 
 def main() -> int:

@@ -358,11 +358,12 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector, *,
     same iteration as ``step`` would.
 
     With ``energies=False`` each step evaluates the gradient alone, and the
-    record skips f(x_k) and the shifted gradient: the trace's ``f_gap``,
-    ``E``, ``E_shifted`` and ``grad_shifted_sq`` are None, and every other
-    column, the status and a divergence's iteration are bit for bit those of
-    the full solve.  The only values taken are f(x_0) and f(x*), plus f(x_k)
-    on a step past the bound stated in ``record``.
+    record skips f(x*), f(x_k) and the shifted gradient: the trace's
+    ``f_gap``, ``E``, ``E_shifted`` and ``grad_shifted_sq`` are None, and
+    every other column and the status are bit for bit those of the full
+    solve.  The only value taken is f(x_0), in ``init_state``.  Either way the solve raises
+    ``DivergenceError`` at the first step where a column it records is not
+    finite.
     """
     if f.minimizer is None:
         raise MinimizerUnknownError(
@@ -374,10 +375,9 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector, *,
     state = init_state(method, f, x0, params)
     spare = _blank_like(state)
     xstar = np.asarray(f.minimizer, dtype=np.float64)
-    fstar = f.value(xstar)
+    fstar = f.value(xstar) if energies else None
     mu = f.mu
     y_weight = mu if method is MethodKind.HNAG_PLUS else 0.5 * mu
-    x_scale = max(1.0, mu * mu)
     dx_buf, dy_buf, tmp = (np.empty_like(state.x) for _ in range(3))
     zero_xstar = all_positive_zero(xstar)   # then x - x* is x bit for bit
     if energies:
@@ -390,9 +390,9 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector, *,
     # f_gap, E, E_shifted and grad_shifted_sq
     rows: list[tuple[float, ...]] = []
 
-    # squared quantities can overflow long before coordinates do; treat that
-    # as divergence rather than recording infinities.  As a decorator,
-    # errstate builds no context object per record.
+    # a column the record keeps that is not finite is divergence: squared
+    # quantities can overflow long before coordinates do, and no infinity is
+    # recorded.  As a decorator, errstate builds no context object per record.
     @np.errstate(over="ignore", invalid="ignore")
     def record(st: SolverState) -> None:
         dx, dy = st.x, _read_y(st, params, dy_buf, tmp)
@@ -405,22 +405,13 @@ def solve(f: ObjectiveLike, config: SolverConfig, x0: Vector, *,
         row = (math.sqrt(g_sq), x_err, y_err)
         if not all(map(math.isfinite, row)):
             raise DivergenceError(method, st.k)
-        # With g = grad f(x_k) and dx = x_k - x*, convexity gives
-        #   f(x_k) - f(x*) <= <g, dx> <= (g.g + ||dx||^2) / 2,
-        # and ||g - mu dx||^2 <= 2 (g.g + mu^2 ||dx||^2).  So while
-        # g.g + max(1, mu^2) ||dx||^2 <= 1e300 both skipped columns are
-        # finite and could not stop the run; past it they are evaluated and
-        # tested as a full record would.  f(x_0) and f(x*) are always tested.
-        if st.f_cache is None and g_sq + x_scale * x_err <= 1e300:
-            rows.append(row)
-            return
-        f_gap = (f.value(st.x) if st.f_cache is None else st.f_cache) - fstar
-        np.multiply(dx, mu, out=tmp)
-        np.subtract(st.grad_cache, tmp, out=tmp)
-        gsh_sq = float(tmp @ tmp)
-        if not (math.isfinite(f_gap) and math.isfinite(gsh_sq)):
-            raise DivergenceError(method, st.k)
         if energies:
+            f_gap = st.f_cache - fstar
+            np.multiply(dx, mu, out=tmp)
+            np.subtract(st.grad_cache, tmp, out=tmp)
+            gsh_sq = float(tmp @ tmp)
+            if not (math.isfinite(f_gap) and math.isfinite(gsh_sq)):
+                raise DivergenceError(method, st.k)
             row += (f_gap, f_gap + 0.5 * mu * y_err,
                     f_gap - 0.5 * mu * x_err + y_weight * y_err, gsh_sq)
         rows.append(row)

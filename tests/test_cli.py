@@ -281,6 +281,13 @@ class TestRun:
         assert summary["status"] == "converged"
         assert summary["iterations"] == len(lines) - 2
 
+    def test_box_ordering_rate_is_null(self, tmp_path, capsys):
+        rc = run_cli(["run", *LAP9, "--method", "hnag_box", "--max-iter", "5",
+                      "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        summary = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert summary["theoretical_rate"] is None
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["run", *LAP9, "--method", "nag", "--seed", "7"]
@@ -480,6 +487,15 @@ class TestRates:
         hnag = [r for r in payload if r["method"] == "hnag"][0]
         assert hnag["rate_special"] < hnag["rate_general"]
 
+    def test_box_ordering_has_no_rate(self, capsys):
+        assert run_cli(["rates", "--methods", "hnagbox", "--kappas", "100"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "hnag_box,100.0,nan,nan"
+        assert run_cli(["rates", "--methods", "hnagbox", "--kappas", "100",
+                        "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out, parse_constant=pytest.fail) == [
+            {"method": "hnag_box", "kappa": 100.0, "rate_general": None,
+             "rate_special": None}]
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(["rates", "--out", str(a)]) == 0
@@ -545,9 +561,10 @@ class TestOutputFormat:
         assert run_cli(argv) == 2
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
         assert [r[0] for r in rows] == ["method", "hnag", "hnag_box"]
-        assert rows[2][4] == "nan"
+        assert rows[2][4] == rows[2][5] == "nan"
         assert run_cli([*argv, "--format", "json"]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload[1]["method"] == "hnag_box"
         assert payload[1]["measured_rate"] is None
+        assert payload[1]["theoretical_rate"] is None
         assert payload[0]["measured_rate"] == float(rows[1][4])

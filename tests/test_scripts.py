@@ -39,7 +39,8 @@ def test_benchmark_laplacian_table(tmp_path):
 
 
 def test_trace_digests_lap9():
-    # one line per method, and a rerun prints the same bytes
+    # one line per method, each with the gradient-only solve's parity, and a
+    # rerun prints the same bytes
     argv = [sys.executable, "scripts/trace_digests.py", "--problems", "lap9", "--seeds", "42"]
     runs = [subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
             for _ in range(2)]
@@ -51,6 +52,7 @@ def test_trace_digests_lap9():
                                                      for m in MethodKind]
     for line in lines:
         fields = dict(cell.split("=") for cell in line.split()[2:])
+        assert fields.pop("lean") == "same"
         if fields["status"] == "diverged":
             assert list(fields) == ["seed", "iterations", "status"]
             continue
