@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of every Trace column over a grid of solves.
+"""SHA-256 digests of every Trace column over a grid of solves, and of
+each grid problem's ``ObjectiveLike`` surface.
 
-Prints one line per (problem, seed, method): the iteration count, the
-terminal status, for each Trace column the SHA-256 of its dtype string and
-raw bytes, and ``lean=same`` or ``lean=differs``.  Two trees whose lines
-match produce bit-identical traces on the grid, so diffing this output is
-the byte-identity check for a change that should leave every trace as it
-was.  ``lean=same`` says that the gradient-only solve (``energies=False``,
-as ``compare`` runs it) gave the same status, the same divergence step and
+Prints one ``problem`` line per (problem, seed): ``dim``, the ``repr`` of
+``mu``, ``lipschitz`` and ``hessian_lipschitz``, and the SHA-256 of the
+``minimizer`` (its dtype string and raw bytes) and of
+``json.dumps(description(), sort_keys=True)``.  Then one line per (problem,
+seed, method): the iteration count, the terminal status, for each Trace
+column the SHA-256 of its dtype string and raw bytes, and ``lean=same`` or
+``lean=differs``.  Two trees whose lines match build the same problems and
+produce bit-identical traces on the grid, so diffing this output is the
+byte-identity check for a change that should leave every trace as it was.
+``lean=same`` says that the gradient-only solve (``energies=False``, as
+``compare`` runs it) gave the same status, the same divergence step and
 bit-equal ``k``, ``grad_norm``, ``x_err_sq`` and ``y_err_sq``.  Start
 vectors and problem seeds follow the CLI: x0 = Rng(seed).uniform(dim),
 piecewise and logistic built at that seed, tolerance 1e-8 and the CLI's
@@ -24,6 +29,7 @@ Usage: python scripts/trace_digests.py [--problems lap43,lap87,lap178,piecewise,
 import argparse
 import dataclasses
 import hashlib
+import json
 import os
 import sys
 
@@ -49,6 +55,13 @@ def build(name: str, seed: int):
 
 def digest(column) -> str:
     return hashlib.sha256(column.dtype.str.encode() + b":" + column.tobytes()).hexdigest()
+
+
+def problem_line(name: str, f, seed: int) -> str:
+    described = json.dumps(f.description(), sort_keys=True).encode()
+    return (f"{name} problem seed={seed} dim={f.dim} mu={f.mu!r} lipschitz={f.lipschitz!r} "
+            f"hessian_lipschitz={f.hessian_lipschitz!r} minimizer={digest(f.minimizer)} "
+            f"description={hashlib.sha256(described).hexdigest()}")
 
 
 def solve_or_divergence(f, method: MethodKind, seed: int, energies: bool):
@@ -87,6 +100,7 @@ def main() -> int:
     for name in args.problems.split(","):
         for seed in seeds:
             f = build(name, seed)
+            print(problem_line(name, f, seed), flush=True)
             for method in methods:
                 print(line(name, f, method, seed), flush=True)
     return 0

@@ -210,6 +210,8 @@ def strong_lyapunov_sweep(
     """
     if states < 1:
         raise ValueError(f"states must be >= 1, got {states}")
+    if len(scales) == 0:
+        raise ValueError("scales must be non-empty")
     a = minimizer_anchor(f)
     beta = flow_beta(kind, f)
     lhs = np.empty(states)

@@ -45,8 +45,7 @@ class Rng:
     """
 
     def __init__(self, seed: int = 42):
-        self.seed = int(seed)
-        self._state = np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)
+        self._state = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
 
     def _raw(self, n: int) -> np.ndarray:
         # uint64 arithmetic wraps mod 2^64 by design; silence numpy's warning.
@@ -210,9 +209,18 @@ class _Stencil5:
 
 
 class _Problem(ObjectiveLike):
-    """An objective a builder made: ``description()`` is its kind and builder arguments."""
+    """An objective a builder made: ``description()`` is its kind and builder
+    arguments.  This constructor sets the whole ``ObjectiveLike`` surface."""
 
-    _description: Optional[dict] = None
+    def __init__(self, dim: int, mu: float, lipschitz: float,
+                 hessian_lipschitz: Optional[float], minimizer: Optional[Vector],
+                 description: Optional[dict]):
+        self.dim = dim
+        self.mu = float(mu)
+        self.lipschitz = float(lipschitz)
+        self.hessian_lipschitz = hessian_lipschitz
+        self.minimizer = minimizer
+        self._description = description
 
     def description(self) -> dict:
         if self._description is None:
@@ -239,12 +247,7 @@ class QuadraticObjective(_Problem):
         self.center = np.array(center, dtype=np.float64)
         self.center.flags.writeable = False
         self._zero_center = all_positive_zero(self.center)
-        self.dim = self.center.size
-        self.mu = float(mu)
-        self.lipschitz = float(lipschitz)
-        self.hessian_lipschitz = 0.0
-        self.minimizer: Optional[Vector] = self.center
-        self._description = description
+        super().__init__(self.center.size, mu, lipschitz, 0.0, self.center, description)
 
     @functools.cached_property
     def matrix(self):
@@ -322,13 +325,8 @@ class PiecewiseSmoothObjective(_Problem):
                  eps: float, description: Optional[dict] = None):
         self.A = np.asarray(A, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
-        self.dim, self.p = self.A.shape
-        self.mu = float(mu)
-        self.lipschitz = float(lipschitz)
         self.eps = float(eps)
-        self.hessian_lipschitz: Optional[float] = None
-        self.minimizer: Optional[Vector] = None
-        self._description = description
+        super().__init__(self.A.shape[0], mu, lipschitz, None, None, description)
 
     def value(self, x: Vector) -> float:
         t = self.A.T @ x - self.b
@@ -388,32 +386,27 @@ def _sigmoid_neg(s: np.ndarray) -> np.ndarray:
 class LogisticObjective(_Problem):
     """l2-regularized logistic regression over m labelled columns a_i.
 
-    f(x) = sum_i log(1 + exp(-b_i a_i . x)) + lam/2 ||x||^2, labels in {-1,+1}.
-    mu = lam, L = lambda_max(sum a_i a_i^T) + lam (the builder takes it from
-    the eigenvalues of the m x m Gram matrix A^T A), and the Hessian is
-    Lipschitz with constant 0.11 * sum ||a_i||^3.
+    f(x) = sum_i log(1 + exp(-b_i a_i . x)) + mu/2 ||x||^2, labels in {-1,+1},
+    where mu is the builder's ridge weight lam.  L = lambda_max(sum a_i a_i^T)
+    + mu (the builder takes it from the eigenvalues of the m x m Gram matrix
+    A^T A), and the Hessian is Lipschitz with constant 0.11 * sum ||a_i||^3.
     """
 
-    def __init__(self, A: np.ndarray, b: Vector, lam: float, lipschitz: float,
+    def __init__(self, A: np.ndarray, b: Vector, mu: float, lipschitz: float,
                  description: Optional[dict] = None):
         self.A = np.asarray(A, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
-        self.dim, self.m = self.A.shape
-        self.lam = float(lam)
-        self.mu = float(lam)
-        self.lipschitz = float(lipschitz)
         norms = np.linalg.norm(self.A, axis=0)
-        self.hessian_lipschitz = 0.11 * float((norms**3).sum())
-        self.minimizer: Optional[Vector] = None
-        self._description = description
+        super().__init__(self.A.shape[0], mu, lipschitz, 0.11 * float((norms**3).sum()),
+                         None, description)
 
     def value(self, x: Vector) -> float:
         s = self.b * (self.A.T @ x)
-        return float(np.logaddexp(0.0, -s).sum() + 0.5 * self.lam * (x @ x))
+        return float(np.logaddexp(0.0, -s).sum() + 0.5 * self.mu * (x @ x))
 
     def gradient(self, x: Vector) -> Vector:
         s = self.b * (self.A.T @ x)
-        return self.A @ (-self.b * _sigmoid_neg(s)) + self.lam * x
+        return self.A @ (-self.b * _sigmoid_neg(s)) + self.mu * x
 
 
 def build_logistic(

@@ -187,6 +187,24 @@ class TestFindMinimizer:
         assert xstar.tobytes() == nag_loop(f, x, g, 1e-12 * g0, 10**6).tobytes()
         assert np.linalg.norm(f.gradient(xstar)) <= 1e-12 * g0
 
+    def test_fallback_on_a_stiff_piecewise_default(self, monkeypatch):
+        # the default piecewise problem at L = 1e8: Newton stops short of the
+        # tolerance and the NAG loop, run for real, finishes the solve
+        f = agmx.build_piecewise(lipschitz=1e8)
+        runs = []
+
+        def fallback(*args):
+            runs.append(1)
+            return nag_loop(*args)
+
+        nag_loop = analysis._nag_loop
+        monkeypatch.setattr(analysis, "_nag_loop", fallback)
+        xstar = find_minimizer(f)
+        monkeypatch.undo()
+        assert runs == [1]
+        g0 = np.linalg.norm(f.gradient(np.zeros(f.dim)))
+        assert np.linalg.norm(f.gradient(xstar)) <= 1e-12 * g0
+
     def test_newton_stalls_on_a_flat_curvature(self, monkeypatch):
         # grad f is c at 0 and c + (10, 0) everywhere else: every central
         # difference is 0, so CG breaks on d.Hd <= 0 with p = 0, no step

@@ -279,6 +279,11 @@ class TestSharedAnchor:
         with pytest.raises(ValueError, match="states"):
             strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap9, agmx.Rng(1), states, SCALES)
 
+    @pytest.mark.parametrize("scales", [(), np.array([])], ids=["tuple", "array"])
+    def test_sweep_needs_a_scale(self, lap9, scales):
+        with pytest.raises(ValueError, match="scales must be non-empty"):
+            strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap9, agmx.Rng(1), 3, scales)
+
     def test_nan_state_fails_the_sweep(self):
         # a NaN margin used to be skipped, so an unevaluable sweep passed
         calls = {"n": 0}

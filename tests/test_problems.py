@@ -399,7 +399,7 @@ class TestBuilderEigenvalue:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 42])
     def test_piecewise_scale_is_the_dense_gram_top(self, seed):
         f = build_piecewise(seed=seed)
-        A = Rng(seed).standard_normal((f.dim, f.p))
+        A = Rng(seed).standard_normal(f.A.shape)
         gram_max = np.linalg.eigvalsh(A.T @ A)[-1]
         assert f.A.tobytes() == (A * np.sqrt((f.lipschitz - f.mu) / gram_max)).tobytes()
 
@@ -408,10 +408,10 @@ class TestBuilderEigenvalue:
         f = build_logistic(seed=seed)
         G = f.A.T @ f.A
         gram_max = np.linalg.eigvalsh(G)[-1]
-        assert f.lipschitz == gram_max + f.lam and f.lipschitz - f.lam == gram_max
-        V = Rng(seed + 1).standard_normal((100, f.m))
+        assert f.lipschitz == gram_max + f.mu and f.lipschitz - f.mu == gram_max
+        V = Rng(seed + 1).standard_normal((100, f.A.shape[1]))
         rayleigh = np.einsum("ij,jk,ik->i", V, G, V) / np.einsum("ij,ij->i", V, V)
-        assert (f.lipschitz - f.lam >= rayleigh).all()
+        assert (f.lipschitz - f.mu >= rayleigh).all()
         again = rebuild(f.description())
         assert again.lipschitz == f.lipschitz
         assert again.A.tobytes() == f.A.tobytes() and again.b.tobytes() == f.b.tobytes()
@@ -442,7 +442,7 @@ class TestBuilderEigenvalue:
 class TestPiecewiseProblem:
     def test_defaults(self, piecewise_default):
         f = piecewise_default
-        assert (f.mu, f.lipschitz, f.dim, f.p, f.eps) == (1.0, 1e4, 100, 5, 1e-6)
+        assert (f.mu, f.lipschitz, f.dim, f.A.shape, f.eps) == (1.0, 1e4, 100, (100, 5), 1e-6)
 
     @pytest.mark.parametrize("seed", [*range(32), 42, 2026])
     def test_spectral_norm_scaled(self, seed):
@@ -507,8 +507,7 @@ class TestPiecewiseProblem:
 class TestLogisticProblem:
     def test_defaults(self, logistic_default):
         f = logistic_default
-        assert (f.lam, f.dim, f.m) == (0.1, 1000, 50)
-        assert f.mu == 0.1
+        assert (f.mu, f.dim, f.A.shape) == (0.1, 1000, (1000, 50))
 
     def test_gradient_at_zero(self, logistic_default):
         f = logistic_default
@@ -518,7 +517,7 @@ class TestLogisticProblem:
     def test_lipschitz_is_gram_top_plus_lam(self, logistic_default):
         f = logistic_default
         gram_top = np.linalg.eigvalsh(f.A.T @ f.A)[-1]
-        assert f.lipschitz == pytest.approx(gram_top + f.lam, rel=1e-8)
+        assert f.lipschitz == pytest.approx(gram_top + f.mu, rel=1e-8)
 
     def test_hessian_lipschitz_constant(self, logistic_default):
         f = logistic_default
@@ -533,7 +532,7 @@ class TestLogisticProblem:
             x = rng.standard_normal(f.dim)
             v = rng.standard_normal(f.dim)
             second = (f.value(x + h * v) - 2 * f.value(x) + f.value(x - h * v)) / h**2
-            assert second >= f.lam * float(v @ v) * (1 - 1e-4)
+            assert second >= f.mu * float(v @ v) * (1 - 1e-4)
 
     def test_reproducible_and_rebuildable(self):
         f1 = build_logistic(seed=42)
@@ -612,8 +611,8 @@ class TestLeanOracles:
             for name, x in _lean_inputs(f.dim, seed=m).items():
                 with np.errstate(all="ignore"):
                     s = f.b * (f.A.T @ x)
-                    grad = f.A @ (-f.b * _masked_sigmoid(-s)) + f.lam * x
-                    value = np.logaddexp(0.0, -s).sum() + 0.5 * f.lam * (x @ x)
+                    grad = f.A @ (-f.b * _masked_sigmoid(-s)) + f.mu * x
+                    value = np.logaddexp(0.0, -s).sum() + 0.5 * f.mu * (x @ x)
                     assert _same(f.gradient(x), grad), name
                     assert _same(f.value(x), value), name
 
@@ -686,6 +685,21 @@ class TestBuilderValidation:
         # only a builder describes what it built; rebuild could not replay the rest
         with pytest.raises(ValueError, match="built ad hoc and has no description"):
             f.description()
+
+    def test_constructors_set_the_surface(self):
+        # integer constants come back as floats; only the quadratic knows x*
+        c = np.array([1.0, -2.0, 0.5])
+        quad = QuadraticObjective(2 * np.eye(3), c, 2, 2)
+        piece = PiecewiseSmoothObjective(np.ones((3, 2)), np.zeros(2), 1, 2, 1e-3)
+        logit = LogisticObjective(np.ones((3, 2)), np.ones(2), 1, 7)
+        surface = [(f.dim, f.mu, f.lipschitz, f.hessian_lipschitz)
+                   for f in (quad, piece, logit)]
+        assert surface == [(3, 2.0, 2.0, 0.0), (3, 1.0, 2.0, None),
+                           (3, 1.0, 7.0, 0.11 * 2 * 3**1.5)]
+        assert all(type(f.mu) is float and type(f.lipschitz) is float
+                   for f in (quad, piece, logit))
+        assert np.array_equal(quad.minimizer, c)
+        assert piece.minimizer is None and logit.minimizer is None
 
 
 class TestCertificates:

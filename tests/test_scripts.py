@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -5,6 +6,9 @@ import re
 import subprocess
 import sys
 
+import numpy as np
+
+import agmx
 from agmx import MethodKind
 from agmx.cli import COMPARISON_CSV_HEADER
 
@@ -39,15 +43,24 @@ def test_benchmark_laplacian_table(tmp_path):
 
 
 def test_trace_digests_lap9():
-    # one line per method, each with the gradient-only solve's parity, and a
-    # rerun prints the same bytes
+    # the problem's surface, then one line per method, each with the
+    # gradient-only solve's parity, and a rerun prints the same bytes
     argv = [sys.executable, "scripts/trace_digests.py", "--problems", "lap9", "--seeds", "42"]
     runs = [subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
             for _ in range(2)]
     for proc in runs:
         assert proc.returncode == 0, proc.stdout + proc.stderr
     assert runs[0].stdout == runs[1].stdout
-    lines = runs[0].stdout.splitlines()
+    problem, *lines = runs[0].stdout.splitlines()
+    f = agmx.build_laplacian2d(9)
+    surface = dict(cell.split("=") for cell in problem.split()[2:])
+    assert problem.split()[:2] == ["lap9", "problem"]
+    assert surface.pop("minimizer") == hashlib.sha256(
+        b"<f8:" + np.zeros(81).tobytes()).hexdigest()
+    assert surface.pop("description") == hashlib.sha256(
+        b'{"kind": "laplacian2d", "n": 9}').hexdigest()
+    assert surface == {"seed": "42", "dim": "81", "mu": repr(f.mu),
+                       "lipschitz": repr(f.lipschitz), "hessian_lipschitz": "0.0"}
     assert [line.split()[:3] for line in lines] == [["lap9", m.value, "seed=42"]
                                                      for m in MethodKind]
     for line in lines:

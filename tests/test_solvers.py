@@ -8,6 +8,7 @@ from agmx import MethodKind, SolverConfig, TerminalStatus
 from agmx.core import DimensionError
 from agmx.solvers import (
     DivergenceError,
+    SolverState,
     init_state,
     make_params,
     parse_method,
@@ -210,20 +211,44 @@ class TestSchemeFormConsistency:
 
 
 class TestBoxOrdering:
+    # The box ordering swaps the 1/L and 2/L gradient weights relative to the
+    # scheme.  On the mode of curvature lambda = L its step is linear in
+    # (x, v), and the spectral radius of that 2 x 2 iteration matrix tends
+    # to the golden ratio as kappa grows, so on ill-conditioned problems it
+    # amplifies stiff components geometrically and diverges.
+
+    @staticmethod
+    def stiff_mode_radius(mu, lipschitz):
+        """Spectral radius of the box step on f(x) = L x^2 / 2, whose columns
+        are the steps from the basis states (x, v) = (1, 0) and (0, 1)."""
+        f = simple_1d_quadratic(lipschitz)
+        params = make_params(MethodKind.HNAG_BOX, mu, lipschitz)
+        columns = []
+        for x, v in ((1.0, 0.0), (0.0, 1.0)):
+            x = np.array([x])
+            state = SolverState(x=x, aux=np.array([v]), k=0,
+                                grad_cache=f.gradient(x), f_cache=f.value(x))
+            new = step(MethodKind.HNAG_BOX, state, f, params)
+            columns.append([new.x[0], new.aux[0]])
+        return max(abs(np.linalg.eigvals(np.array(columns).T)))
+
     def test_box_ordering_unstable_on_stiff_problems(self, lap19):
-        # The box ordering swaps the 1/L and 2/L gradient weights relative to
-        # the scheme; its per-mode iteration matrix at lambda = L has spectral
-        # radius approaching the golden ratio, so on ill-conditioned problems
-        # it amplifies stiff components geometrically and diverges.
-        a = np.sqrt(2.0 * lap19.mu / lap19.lipschitz)
-        m_top = np.array([
-            [(1 - 2) / (1 + a) + (a * a - 1) / (1 + a) ** 2, 1 / (1 + a) ** 2],
-            [(a * a - 1) / (1 + a), 1 / (1 + a)],
-        ])
-        assert max(abs(np.linalg.eigvals(m_top))) > 1.0
+        assert self.stiff_mode_radius(lap19.mu, lap19.lipschitz) > 1.0
         with pytest.raises(DivergenceError):
             solve(lap19, SolverConfig(method=MethodKind.HNAG_BOX),
                   agmx.Rng(42).uniform(lap19.dim))
+
+    def test_radius_tends_to_the_golden_ratio(self):
+        # to first order in a = sqrt(2/kappa) the radius is
+        # phi - (1 + 3/sqrt(5)) a, with phi = (1 + sqrt(5))/2
+        phi = (1.0 + np.sqrt(5.0)) / 2.0
+        kappas = (649.0, 1e8, 1e12)
+        radii = [self.stiff_mode_radius(1.0, kappa) for kappa in kappas]
+        assert radii[0] == pytest.approx(1.4951, abs=1e-4)
+        assert 1.0 < radii[0] < radii[1] < radii[2] < phi
+        for kappa, radius in zip(kappas[1:], radii[1:]):
+            a = np.sqrt(2.0 / kappa)
+            assert (phi - radius) / a == pytest.approx(1.0 + 3.0 / np.sqrt(5.0), rel=1e-3)
 
 
 class TestSolve:
