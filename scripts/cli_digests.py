@@ -15,8 +15,9 @@ Problems are ``lapN`` (laplacian2d on an N x N grid, seed 42), ``piecewise``
 (seed 7) and ``logistic`` (seed 42), builder defaults otherwise.  For each:
 all six ``diagnose`` checks with their residual CSVs, ``strong_partial
 --mu-hat-frac 1.0``, ``run`` under both regimes, and ``compare`` as CSV and
-JSON.  Then, whatever the problems, ``rates`` as CSV and JSON and four
-error cases, the last a sweep too large to allocate.
+JSON.  Then, whatever the problems, ``rates`` as CSV and JSON, two
+``diagnose`` checks that exit 2 (a sweep that fails, a theorem check cut off
+at --max-iter), and four error cases, the last a sweep too large to allocate.
 
 Usage: python scripts/cli_digests.py [--problems lap43,lap178,piecewise,logistic]
 """
@@ -36,6 +37,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 from agmx import CHECKS, cli
 
 COMPARE_METHODS = "hnag,hnag_plus,nag,tm,hnag_box"
+EXIT_2 = [
+    ["diagnose", "--problem", "piecewise", "--seed", "20", "--check", "strong_partial",
+     "--mu-hat-frac", "1.0"],
+    ["diagnose", "--problem", "laplacian2d", "--n", "43", "--check", "thm_hnag_plus",
+     "--max-iter", "5"],
+]
 ERRORS = [
     ["run", "--method", "nosuch", "--out", "OUT"],
     ["run", "--problem", "laplacian2d", "--d", "20", "--lam", "5", "--method", "nag",
@@ -67,7 +74,7 @@ def grid(names: list) -> list:
         commands += [["compare", *p, "--methods", COMPARE_METHODS, "--format", fmt,
                       "--out", "OUT"] for fmt in ("csv", "json")]
     commands += [["rates", "--out", "OUT"], ["rates", "--format", "json", "--out", "OUT"]]
-    return commands + ERRORS
+    return commands + EXIT_2 + ERRORS
 
 
 def blank_runtime(text: str) -> str:

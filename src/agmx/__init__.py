@@ -24,11 +24,10 @@ from .core import (
 from .lyapunov import (
     CHECKS,
     Anchor,
-    ContractionReport,
+    CheckReport,
     ContractionTheorem,
     LyapunovKind,
     ShiftSchedule,
-    SweepReport,
     asymmetry_bound_check,
     contraction_residuals,
     flow_beta,

@@ -147,8 +147,6 @@ class RateEstimate:
     """Geometric decay rate fitted on a semilog error sequence."""
 
     rate: float
-    window: tuple[int, int]
-    fit_residual: float
     metric: str
 
 
@@ -172,15 +170,8 @@ def estimate_rate(errors: Sequence[float], metric: str = "") -> RateEstimate:
         raise RateFitError(f"fewer than 10 usable points after truncation ({len(e)})")
     start = min(len(e) // 2, len(e) - 11)
     ks = np.arange(start, len(e), dtype=np.float64)
-    logs = np.log(e[start:])
-    slope, intercept = np.polyfit(ks, logs, 1)
-    resid = logs - (slope * ks + intercept)
-    return RateEstimate(
-        rate=min(float(np.exp(slope)), 1.0),
-        window=(start, len(e) - 1),
-        fit_residual=float(np.sqrt(np.mean(resid**2))),
-        metric=metric,
-    )
+    slope = np.polyfit(ks, np.log(e[start:]), 1)[0]
+    return RateEstimate(rate=min(float(np.exp(slope)), 1.0), metric=metric)
 
 
 def measured_rate(trace: Trace) -> float:

@@ -241,9 +241,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             "check": check,
             "iterations": trace.iterations,
             "status": trace.status.value,
-            "max_violation": report.max_violation,
-            "tolerance": report.tolerance,
-            "violated_step": None if passed else int(report.argmax_k),
+            # not the worst row's residual: margins tie below the allowance's last bit
+            "max_violation": float(report.residuals.max()),
+            "tolerance": report.allowance,
+            "violated_step": None if passed else report.worst,
             "pass": passed,
         }
         # a trace cut off at --max-iter certifies only the steps it took
@@ -255,8 +256,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         ok = report.passes()
         summary = {
             "check": check, "states": args.states,
-            "worst_margin": _json_value(report.worst_margin),
-            "violated_state": None if ok else report.worst_k,
+            "worst_margin": _json_value(float(report.margins[report.worst])),
+            "violated_state": None if ok else report.worst,
             "pass": ok,
         }
     if args.out:

@@ -174,23 +174,33 @@ def strong_lyapunov_terms(
 
 
 @dataclass
-class SweepReport:
-    """Dissipation check lhs_k >= rhs_k of one energy at sampled states.
+class CheckReport:
+    """Rows k of one diagnose check: lhs_k <= rhs_k for a contraction theorem
+    (``upper``), lhs_k >= rhs_k for a dissipation sweep; residuals are lhs - rhs.
 
-    The margin of a state is its residual lhs - rhs plus a roundoff allowance
-    1e-12 (1 + |lhs|); the sweep passes when the worst margin is nonnegative.
-    A NaN margin is the worst, so a state the oracle cannot evaluate fails.
+    ``allowance`` is the roundoff a row may show: 1e-10 E_0 for a theorem,
+    1e-12 (1 + |lhs_k|) per row for a sweep.  A row's margin, the allowance
+    less its violation, is >= 0 where the row holds; a NaN row fails.
     """
 
     k: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     residuals: np.ndarray
-    worst_margin: float
-    worst_k: int
+    allowance: float | np.ndarray
+    upper: bool
+
+    @property
+    def margins(self) -> np.ndarray:
+        return self.allowance - (self.residuals if self.upper else -self.residuals)
+
+    @property
+    def worst(self) -> int:
+        """The first row of least margin, or the first NaN."""
+        return int(np.argmin(self.margins))
 
     def passes(self) -> bool:
-        return bool(self.worst_margin >= 0.0)
+        return bool((self.margins >= 0.0).all())
 
 
 def strong_lyapunov_sweep(
@@ -200,7 +210,7 @@ def strong_lyapunov_sweep(
     states: int,
     scales: Sequence[float],
     mu_hat: float = 0.0,
-) -> SweepReport:
+) -> CheckReport:
     """Check the dissipation inequality of kind's flow at ``states`` random states.
 
     The flow's beta is ``flow_beta(kind, f)``.  State i draws x = x* + s z
@@ -224,17 +234,13 @@ def strong_lyapunov_sweep(
             np.add(a.xstar, np.multiply(scale, z, out=z), out=z)
         lhs[i], rhs[i] = strong_lyapunov_terms(kind, f, x, y, beta, mu_hat,
                                                anchor=a, scratch=scratch)
-    residuals = lhs - rhs
-    margins = residuals + 1e-12 * (1.0 + np.abs(lhs))
-    # the first smallest margin, or the first NaN, which then fails the sweep
-    worst = int(np.argmin(margins))
-    return SweepReport(
+    return CheckReport(
         k=np.arange(states, dtype=np.int64),
         lhs=lhs,
         rhs=rhs,
-        residuals=residuals,
-        worst_margin=float(margins[worst]),
-        worst_k=worst,
+        residuals=lhs - rhs,
+        allowance=1e-12 * (1.0 + np.abs(lhs)),
+        upper=False,
     )
 
 
@@ -263,37 +269,10 @@ def flow_beta(kind: LyapunovKind, f: ObjectiveLike) -> float:
     return params.alpha_beta / params.alpha
 
 
-@dataclass
-class ContractionReport:
-    """Per-step contraction check lhs_k <= rhs_k of one named theorem.
-
-    lhs_k is the dual-shifted energy after step k+1, rhs_k the contraction
-    factor times the energy after step k; positive residuals are violations.
-    ``initial_energy`` scales the pass ``tolerance`` (energies span many
-    orders of magnitude over a run).
-    """
-
-    k: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    residuals: np.ndarray
-    max_violation: float
-    argmax_k: int
-    initial_energy: float
-
-    @property
-    def tolerance(self) -> float:
-        """The largest violation that passes: 1e-10 of the initial energy."""
-        return 1e-10 * self.initial_energy
-
-    def passes(self) -> bool:
-        return self.max_violation <= self.tolerance
-
-
 def contraction_residuals(
     theorem: ContractionTheorem, trace: Trace, f: ObjectiveLike
-) -> ContractionReport:
-    """Check one theorem's per-iteration contraction along a recorded trace."""
+) -> CheckReport:
+    """Check one theorem's contraction E_{k+1} <= rate E_k along a recorded trace."""
     expected = _CHECK_METHOD[theorem]
     if trace.method is not expected:
         raise ValueError(
@@ -317,20 +296,13 @@ def contraction_residuals(
 
     lhs = energy[1:]
     rhs = rate * energy[:-1]
-    residuals = lhs - rhs
-    if len(residuals):
-        worst = int(np.argmax(residuals))
-        max_violation = float(residuals[worst])
-    else:
-        worst, max_violation = 0, 0.0
-    return ContractionReport(
-        k=np.arange(len(residuals), dtype=np.int64),
+    return CheckReport(
+        k=np.arange(len(lhs), dtype=np.int64),
         lhs=lhs,
         rhs=rhs,
-        residuals=residuals,
-        max_violation=max_violation,
-        argmax_k=worst,
-        initial_energy=float(energy[0]) if len(energy) else 0.0,
+        residuals=lhs - rhs,
+        allowance=1e-10 * float(energy[0]),
+        upper=True,
     )
 
 

@@ -108,8 +108,8 @@ def test_criterion_03_hnag_contraction(trio, hnag_traces):
     for name, f in trio.items():
         rep = contraction_residuals(
             ContractionTheorem.THM_HNAG_FUNCVAL, hnag_traces[name], f)
-        assert rep.passes(), (name, rep.max_violation, rep.initial_energy)
-        stats.append(f"{name}: viol/E0={rep.max_violation / rep.initial_energy:.1e}")
+        assert rep.passes(), (name, rep.worst, rep.margins[rep.worst])
+        stats.append(f"{name}: viol/tol={rep.residuals.max() / rep.allowance:.1e}")
     _announce(3, "; ".join(stats))
 
 
@@ -120,8 +120,8 @@ def test_criterion_04_hnag_plus_contraction(trio):
     for name, f in trio.items():
         trace = solve(f, cfg, agmx.Rng(SEED).uniform(f.dim))
         rep = contraction_residuals(ContractionTheorem.THM_HNAG_PLUS, trace, f)
-        assert rep.passes(), (name, rep.max_violation, rep.initial_energy)
-        stats.append(f"{name}: viol/E0={rep.max_violation / rep.initial_energy:.1e}")
+        assert rep.passes(), (name, rep.worst, rep.margins[rep.worst])
+        stats.append(f"{name}: viol/tol={rep.residuals.max() / rep.allowance:.1e}")
     _announce(4, "; ".join(stats))
 
 
@@ -144,8 +144,8 @@ def test_criterion_05_quadratic_contraction(quadratic_traces):
     stats = []
     for kappa, (f, trace) in quadratic_traces.items():
         rep = contraction_residuals(ContractionTheorem.PROP_QUADRATIC, trace, f)
-        assert rep.passes(), (kappa, rep.max_violation, rep.initial_energy)
-        stats.append(f"k={kappa:.0f}: viol/E0={rep.max_violation / rep.initial_energy:.1e}")
+        assert rep.passes(), (kappa, rep.worst, rep.margins[rep.worst])
+        stats.append(f"k={kappa:.0f}: viol/tol={rep.residuals.max() / rep.allowance:.1e}")
     _announce(5, "quadratic per-step contraction — " + "; ".join(stats))
 
 

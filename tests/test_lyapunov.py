@@ -8,6 +8,7 @@ import pytest
 import agmx
 from agmx import (
     CHECKS,
+    CheckReport,
     ContractionTheorem,
     LyapunovKind,
     MethodKind,
@@ -217,8 +218,8 @@ class TestSharedAnchor:
             assert (rep.lhs[i], rep.rhs[i], rep.residuals[i]) == (lhs, rhs, lhs - rhs)
             margins.append((lhs - rhs) + 1e-12 * (1.0 + abs(lhs)))
         assert rep.k.tolist() == list(range(10))
-        assert rep.worst_margin == min(margins)
-        assert rep.worst_k == int(np.argmin(margins))
+        assert rep.margins.tolist() == margins
+        assert rep.worst == int(np.argmin(margins))
         assert rep.passes()
 
     @pytest.mark.parametrize("centered", [False, True], ids=["laplacian", "centered"])
@@ -295,9 +296,19 @@ class TestSharedAnchor:
         f = SimpleObjective(lambda x: 0.5 * float(x @ x), grad, dim=3, mu=1.0,
                             lipschitz=1.0, minimizer=np.zeros(3))
         rep = strong_lyapunov_sweep(LyapunovKind.E_HNAG, f, agmx.Rng(1), 5, SCALES)
-        assert rep.worst_k == 2          # the anchor takes the first gradient
-        assert np.isnan(rep.worst_margin)
+        assert rep.worst == 2            # the anchor takes the first gradient
+        assert np.isnan(rep.margins[rep.worst])
         assert not rep.passes()
+
+    def test_allowance_is_the_pass_threshold(self, lap9):
+        # a sweep claims lhs >= rhs: a residual of minus the allowance passes
+        rep = strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap9, agmx.Rng(1), 5, SCALES)
+        assert rep.allowance.tolist() == [1e-12 * (1.0 + abs(v)) for v in rep.lhs]
+        residuals = rep.residuals.copy()
+        residuals[2] = -rep.allowance[2]
+        assert dataclasses.replace(rep, residuals=residuals).passes()
+        residuals[2] = np.nextafter(-rep.allowance[2], -np.inf)
+        assert not dataclasses.replace(rep, residuals=residuals).passes()
 
     def test_sweep_csv(self, lap9, tmp_path, capsys):
         # diagnose --seed 0 sweeps with Rng(1) at the flow's beta
@@ -375,7 +386,7 @@ class TestContraction:
     def test_trace_from_minimizer_has_zero_residuals(self, lap9):
         tr = solve(lap9, SolverConfig(method=MethodKind.HNAG), lap9.minimizer)
         rep = contraction_residuals(ContractionTheorem.THM_HNAG_FUNCVAL, tr, lap9)
-        assert rep.max_violation == 0.0
+        assert rep.residuals.size == 0   # converged at x0 = x*, with no step
         assert rep.passes()
 
     @pytest.mark.parametrize("theorem,method", [
@@ -417,10 +428,37 @@ class TestContraction:
         tr = solve(lap19, SolverConfig(method=MethodKind.HNAG),
                    agmx.Rng(42).uniform(lap19.dim))
         rep = contraction_residuals(ContractionTheorem.THM_HNAG_FUNCVAL, tr, lap19)
-        assert rep.tolerance == 1e-10 * rep.initial_energy
-        assert dataclasses.replace(rep, max_violation=rep.tolerance).passes()
-        above = np.nextafter(rep.tolerance, np.inf)
-        assert not dataclasses.replace(rep, max_violation=above).passes()
+        energy0 = tr.E[0] - tr.grad_norm[0] ** 2 / (2.0 * lap19.lipschitz)
+        assert rep.allowance == 1e-10 * energy0
+        residuals = rep.residuals.copy()
+        residuals[3] = rep.allowance
+        assert dataclasses.replace(rep, residuals=residuals).passes()
+        residuals[3] = np.nextafter(rep.allowance, np.inf)
+        assert not dataclasses.replace(rep, residuals=residuals).passes()
+
+    def test_growing_energy_fails_at_its_step(self, lap9):
+        # a trace rebuilt from CSV columns, as bench/workloads.py certifies a
+        # run, whose energy doubles at step j where every other step halves it
+        j, n = 7, 20
+        energy = 0.5 ** np.arange(n + 1)
+        energy[j + 1:] *= 4.0
+        tr = agmx.Trace(method=MethodKind.HNAG, status=agmx.TerminalStatus.CONVERGED,
+                        k=np.arange(n + 1), f_gap=energy, grad_norm=np.zeros(n + 1),
+                        x_err_sq=energy, y_err_sq=energy, E=energy, E_shifted=energy)
+        rep = contraction_residuals(ContractionTheorem.THM_HNAG_FUNCVAL, tr, lap9)
+        assert not rep.passes()
+        assert rep.worst == j
+        assert rep.margins[j] < 0.0
+        assert (np.delete(rep.margins, j) >= rep.allowance).all()
+
+    def test_worst_row_is_the_first_of_tied_margins(self):
+        # residuals far below the allowance leave it as every row's margin, so
+        # the worst row is row 0 though row 1 holds the largest residual
+        rep = CheckReport(k=np.arange(2), lhs=np.array([1e-30, 2e-30]), rhs=np.zeros(2),
+                          residuals=np.array([1e-30, 2e-30]), allowance=1e-10, upper=True)
+        assert rep.margins.tolist() == [1e-10, 1e-10]
+        assert rep.worst == 0
+        assert rep.residuals.max() == 2e-30
 
     def test_needs_lyapunov_recording(self, lap9):
         # a trace rebuilt from the trace CSV columns has no grad_shifted_sq

@@ -87,7 +87,7 @@ def test_cli_digests_lap9(tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
     assert runs[0].stdout == runs[1].stdout
     lines = runs[0].stdout.splitlines()
-    assert len(lines) == 6 + 1 + 2 + 2 + 2 + 4
+    assert len(lines) == 6 + 1 + 2 + 2 + 2 + 2 + 4
     assert {line.split()[0] for line in lines} == {"run", "compare", "diagnose", "rates"}
     for line in lines:
         command, cells = line.split(" | ")
@@ -95,7 +95,8 @@ def test_cli_digests_lap9(tmp_path):
         assert list(fields) == ["exit", "stdout", "stderr", "out"]
         assert all(re.fullmatch("[0-9a-f]{64}", fields[k]) for k in ("stdout", "stderr"))
         assert fields["out"] == "none" or re.fullmatch("[0-9a-f]{64}", fields["out"])
-    assert [line.split(" | ")[1].split()[0] for line in lines[-4:]] == ["exit=1"] * 4
+    exits = [line.split(" | ")[1].split()[0] for line in lines[-6:]]
+    assert exits == ["exit=2"] * 2 + ["exit=1"] * 4
 
 
 def test_readme_library_example_runs():
