@@ -15,7 +15,8 @@ Problems are ``lapN`` (laplacian2d on an N x N grid, seed 42), ``piecewise``
 (seed 7) and ``logistic`` (seed 42), builder defaults otherwise.  For each:
 all six ``diagnose`` checks with their residual CSVs, ``strong_partial
 --mu-hat-frac 1.0``, ``run`` under both regimes, and ``compare`` as CSV and
-JSON.  Then, whatever the problems, ``rates`` as CSV and JSON, two
+JSON.  Then, whatever the problems, ``rates`` as CSV and JSON, a
+``strong_partial`` sweep at piecewise d = 1001 over 25 draw blocks, two
 ``diagnose`` checks that exit 2 (a sweep that fails, a theorem check cut off
 at --max-iter), and four error cases, the last a sweep too large to allocate.
 
@@ -37,6 +38,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 from agmx import CHECKS, cli
 
 COMPARE_METHODS = "hnag,hnag_plus,nag,tm,hnag_box"
+# a sweep of odd d over several draw blocks, the last one partial
+SWEEP_BLOCKS = ["diagnose", "--problem", "piecewise", "--d", "1001", "--check",
+                "strong_partial", "--states", "99", "--out", "OUT"]
 EXIT_2 = [
     ["diagnose", "--problem", "piecewise", "--seed", "20", "--check", "strong_partial",
      "--mu-hat-frac", "1.0"],
@@ -73,7 +77,8 @@ def grid(names: list) -> list:
                      for regime in ("general", "asymptotic")]
         commands += [["compare", *p, "--methods", COMPARE_METHODS, "--format", fmt,
                       "--out", "OUT"] for fmt in ("csv", "json")]
-    commands += [["rates", "--out", "OUT"], ["rates", "--format", "json", "--out", "OUT"]]
+    commands += [["rates", "--out", "OUT"], ["rates", "--format", "json", "--out", "OUT"],
+                 SWEEP_BLOCKS]
     return commands + EXIT_2 + ERRORS
 
 

@@ -7,7 +7,8 @@ Three energies, one per analysis route:
 * ``E_PARTIAL``     D_{f-mu_hat}(x, x*) + mu/2 ||y - x*||^2  (partial shift)
 
 ``strong_lyapunov_terms`` evaluates the continuous-time dissipation bounds
-at one state and ``strong_lyapunov_sweep`` checks them at many,
+at one state or a block of states and ``strong_lyapunov_sweep`` checks them
+at many,
 ``contraction_residuals`` the per-iteration discrete contractions, and
 ``shift_schedule`` materializes the analysis-only shift sequences.  None of
 these feed back into the solvers; they only certify what the solvers did.
@@ -22,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (  # noqa: F401  bregman: bench/instrument.py wraps this binding
+    DimensionError,
     MinimizerUnknownError,
     ObjectiveLike,
     Vector,
@@ -31,6 +33,9 @@ from .core import (  # noqa: F401  bregman: bench/instrument.py wraps this bindi
 )
 from .problems import Rng
 from .solvers import MethodKind, Trace, make_params
+
+
+Rows = float | np.ndarray   # a value for one state, or one per row of a block
 
 
 class LyapunovKind(enum.Enum):
@@ -61,15 +66,15 @@ def minimizer_anchor(f: ObjectiveLike) -> Anchor:
     return Anchor(xstar, fstar, gstar)
 
 
-def _shifted_bregman(fx: float, dx: Vector, a: Anchor, shift: float) -> float:
-    """D_{f - shift/2 ||. - x*||^2}(x, x*) from f(x) and the anchor.
+def _shifted_bregman(fx: Rows, dx: np.ndarray, a: Anchor, shift: float) -> Rows:
+    """D_{f - shift/2 ||. - x*||^2}(x, x*) from f(x) and the anchor, per row of dx.
 
     Evaluated as ``bregman(ShiftedObjective(f, shift, x*), x, x*)`` does, bit
     for bit: at x* the shifted value and gradient subtract exact zeros, so
     they are f(x*) and grad f(x*) themselves.
     """
-    fx_shifted = fx if shift == 0.0 else fx - 0.5 * shift * float(dx @ dx)
-    return fx_shifted - a.fstar - float(a.gstar @ dx)
+    fx_shifted = fx if shift == 0.0 else fx - 0.5 * shift * np.vecdot(dx, dx)
+    return fx_shifted - a.fstar - np.vecdot(a.gstar, dx)
 
 
 def _weights(kind: LyapunovKind, mu: float, mu_hat: float) -> tuple[float, float]:
@@ -85,12 +90,12 @@ def _weights(kind: LyapunovKind, mu: float, mu_hat: float) -> tuple[float, float
     raise ValueError(f"unknown Lyapunov kind {kind!r}")
 
 
-def _energy(fx: float, dx: Vector, dy: Vector, a: Anchor, shift: float,
-            y_weight: float) -> float:
-    return _shifted_bregman(fx, dx, a, shift) + y_weight * float(dy @ dy)
+def _energy(fx: Rows, dx: np.ndarray, dy: np.ndarray, a: Anchor, shift: float,
+            y_weight: float) -> Rows:
+    return _shifted_bregman(fx, dx, a, shift) + y_weight * np.vecdot(dy, dy)
 
 
-_SCRATCH_ROWS = 6   # the d-vectors of strong_lyapunov_terms
+_SCRATCH_ROWS = 6   # the (B, d) arrays of strong_lyapunov_terms
 
 
 def lyapunov(
@@ -108,7 +113,7 @@ def lyapunov(
     a = minimizer_anchor(f)
     _check_dims(f, x, y)
     shift, y_weight = _weights(kind, f.mu, mu_hat)
-    return _energy(f.value(x), x - a.xstar, y - a.xstar, a, shift, y_weight)
+    return float(_energy(f.value(x), x - a.xstar, y - a.xstar, a, shift, y_weight))
 
 
 def strong_lyapunov_terms(
@@ -121,27 +126,38 @@ def strong_lyapunov_terms(
     *,
     anchor: Optional[Anchor] = None,
     scratch: Optional[np.ndarray] = None,
-) -> tuple[float, float]:
+) -> tuple[Rows, Rows]:
     """(-<grad E, G>, proven lower bound) at the state (x, y).
 
     The gradient of E and the flow field G are assembled analytically from
     f(x), grad f(x), mu, and the anchor x*, f(x*), grad f(x*), so
     ``lhs >= rhs`` certifies the dissipation inequality at this state up to
-    roundoff only.  The state costs one ``value_and_gradient`` call; without
-    a precomputed ``anchor`` (see ``minimizer_anchor``) x* costs another.
-    Every d-vector is formed in ``scratch``, a (6, d) block that a sweep
+    roundoff only.  x and y are one state of shape (d,), which gives two
+    floats, or a block of B states of shape (B, d), which gives two (B,)
+    arrays; one state is the one-row block.  Each row costs one
+    ``value_and_gradient`` call; without a precomputed ``anchor`` (see
+    ``minimizer_anchor``) x* costs another.  The rest is one array program
+    over the block, and row i gets the bits of a call on (x[i], y[i]).  The
+    gradients are copied into one new (B, d) array; every other (B, d) array
+    is formed in ``scratch``, a (6, B', d) block with B' >= B that a sweep
     allocates once; a call without one allocates its own.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     a = minimizer_anchor(f) if anchor is None else anchor
-    _check_dims(f, x, y)
+    xs, ys = np.atleast_2d(x, y)
+    if xs.shape != ys.shape or xs.shape[1:] != (f.dim,):
+        raise DimensionError(f"states have shapes {np.shape(x)} and {np.shape(y)}, "
+                             f"expected ({f.dim},) or (B, {f.dim})")
     mu = f.mu
     shift, y_weight = _weights(kind, mu, mu_hat)
-    fx, g = f.value_and_gradient(x)
+    w = (np.empty((_SCRATCH_ROWS, *xs.shape)) if scratch is None
+         else scratch[:, :len(xs)])
+    fx, g = np.empty(len(xs)), np.empty(xs.shape)
+    for i, row in enumerate(xs):
+        fx[i], g[i] = f.value_and_gradient(row)
     xstar = a.xstar
-    w = np.empty((_SCRATCH_ROWS, f.dim)) if scratch is None else scratch
-    dx, dy = np.subtract(x, xstar, out=w[0]), np.subtract(y, xstar, out=w[1])
+    dx, dy = np.subtract(xs, xstar, out=w[0]), np.subtract(ys, xstar, out=w[1])
     energy = _energy(fx, dx, dy, a, shift, y_weight)
 
     # grad E = (g - shift dx, 2 y_weight dy); the flow is
@@ -149,28 +165,30 @@ def strong_lyapunov_terms(
     plus = kind is LyapunovKind.E_HNAG_PLUS
     gsh = g if kind is LyapunovKind.E_HNAG else np.subtract(
         g, np.multiply(shift, dx, out=w[2]), out=w[2])
-    flow_x = np.subtract(y, x, out=w[3])
+    flow_x = np.subtract(ys, xs, out=w[3])
     if plus:
         flow_x *= 2.0
     flow_x -= np.multiply(beta, g, out=w[4])
-    lhs_x = float(gsh @ flow_x)
-    x_minus_y = np.subtract(x, y, out=w[3])
+    lhs_x = np.vecdot(gsh, flow_x)
+    x_minus_y = np.subtract(xs, ys, out=w[3])
     flow_y = np.subtract(x_minus_y, np.divide(g, mu, out=w[4]), out=w[4])
-    lhs = -(lhs_x + float(np.multiply(2.0 * y_weight, dy, out=w[5]) @ flow_y))
+    lhs = -(lhs_x + np.vecdot(np.multiply(2.0 * y_weight, dy, out=w[5]), flow_y))
 
     if kind is LyapunovKind.E_HNAG:
-        rhs = energy + beta * float(g @ g) + 0.5 * mu * float(x_minus_y @ x_minus_y)
-        return float(lhs), float(rhs)
-    if plus:
-        head = 2.0 * energy
+        rhs = energy + beta * np.vecdot(g, g) + 0.5 * mu * np.vecdot(x_minus_y, x_minus_y)
     else:
-        # E_PARTIAL; D_f(x*, x) - D_f(x, x*) as ``bregman_asymmetry`` forms it
-        root = np.sqrt((mu - mu_hat) / mu)
-        asymmetry = ((a.fstar - fx - float(g @ np.subtract(xstar, x, out=w[5])))
-                     - _shifted_bregman(fx, dx, a, 0.0))
-        head = (2.0 - root) * energy + (1.0 - root) * asymmetry
-    rhs = head + beta * float(gsh @ gsh) + beta * shift * float(gsh @ dx)
-    return float(lhs), float(rhs)
+        if plus:
+            head = 2.0 * energy
+        else:
+            # E_PARTIAL; D_f(x*, x) - D_f(x, x*) as ``bregman_asymmetry`` forms it
+            root = np.sqrt((mu - mu_hat) / mu)
+            asymmetry = ((a.fstar - fx - np.vecdot(g, np.subtract(xstar, xs, out=w[5])))
+                         - _shifted_bregman(fx, dx, a, 0.0))
+            head = (2.0 - root) * energy + (1.0 - root) * asymmetry
+        rhs = head + beta * np.vecdot(gsh, gsh) + beta * shift * np.vecdot(gsh, dx)
+    if np.ndim(x) == 1:
+        return float(lhs[0]), float(rhs[0])
+    return lhs, rhs
 
 
 @dataclass
@@ -203,6 +221,12 @@ class CheckReport:
         return bool((self.margins >= 0.0).all())
 
 
+# The most normals one sweep draw holds.  A draw of d normals consumes whole
+# Box-Muller pairs, so a (rows, d + d % 2) draw gives, in its first d columns,
+# the rows of that many d-draws, and leaves the Rng where they would.
+_BLOCK_NORMALS = 2**13
+
+
 def strong_lyapunov_sweep(
     kind: LyapunovKind,
     f: ObjectiveLike,
@@ -216,7 +240,9 @@ def strong_lyapunov_sweep(
     The flow's beta is ``flow_beta(kind, f)``.  State i draws x = x* + s z
     and then y = x* + s z' from ``rng`` with standard-normal z, z' and
     s = scales[i % len(scales)].  x* is anchored once, so each state costs
-    one ``value_and_gradient`` call.
+    one ``value_and_gradient`` call.  States are drawn and evaluated a block
+    at a time: as many as fit in one draw of ``_BLOCK_NORMALS`` normals, or,
+    where one state's two rows do not fit, one state with a draw per row.
     """
     if states < 1:
         raise ValueError(f"states must be >= 1, got {states}")
@@ -224,16 +250,26 @@ def strong_lyapunov_sweep(
         raise ValueError("scales must be non-empty")
     a = minimizer_anchor(f)
     beta = flow_beta(kind, f)
+    d = f.dim
+    width = d + d % 2
+    per_draw = _BLOCK_NORMALS // (2 * width)
+    block = max(per_draw, 1)
     lhs = np.empty(states)
     rhs = np.empty(states)
-    scratch = np.empty((_SCRATCH_ROWS, f.dim))
-    for i in range(states):
-        scale = scales[i % len(scales)]
-        x, y = rng.standard_normal(f.dim), rng.standard_normal(f.dim)
-        for z in (x, y):    # x* + scale z, formed in z's own buffer
-            np.add(a.xstar, np.multiply(scale, z, out=z), out=z)
-        lhs[i], rhs[i] = strong_lyapunov_terms(kind, f, x, y, beta, mu_hat,
-                                               anchor=a, scratch=scratch)
+    scales = np.asarray(scales, dtype=np.float64)
+    scratch = np.empty((_SCRATCH_ROWS, block, d))
+    for start in range(0, states, block):
+        stop = min(start + block, states)
+        if per_draw:
+            z = rng.standard_normal((2 * (stop - start), width))[:, :d]
+            xs, ys = z[0::2], z[1::2]
+        else:
+            xs, ys = rng.standard_normal((1, d)), rng.standard_normal((1, d))
+        s = scales[np.arange(start, stop) % len(scales), None]
+        for z in (xs, ys):    # x* + s z, formed in z's own buffer
+            np.add(a.xstar, np.multiply(s, z, out=z), out=z)
+        lhs[start:stop], rhs[start:stop] = strong_lyapunov_terms(
+            kind, f, xs, ys, beta, mu_hat, anchor=a, scratch=scratch)
     return CheckReport(
         k=np.arange(states, dtype=np.int64),
         lhs=lhs,

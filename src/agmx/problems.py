@@ -16,6 +16,7 @@ loads for a quadratic's ``.matrix`` or a sparse or dense input.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from typing import Callable, Optional
 
@@ -29,6 +30,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
@@ -45,31 +47,29 @@ class Rng:
     """
 
     def __init__(self, seed: int = 42):
-        self._state = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        self._state = int(seed) & _MASK64
 
     def _raw(self, n: int) -> np.ndarray:
-        # uint64 arithmetic wraps mod 2^64 by design; silence numpy's warning.
         # In place, one scratch buffer: z = state + k * gamma, then the three
-        # xor-shift-multiply rounds of the mix.
-        with np.errstate(over="ignore"):
-            z = np.arange(1, n + 1, dtype=np.uint64)
-            z *= _GAMMA
-            z += self._state
-            self._state = np.uint64(self._state + np.uint64(n) * _GAMMA)
-            t = np.right_shift(z, _S30)
-            z ^= t
-            z *= _MIX1
-            z ^= np.right_shift(z, _S27, out=t)
-            z *= _MIX2
-            z ^= np.right_shift(z, _S31, out=t)
+        # xor-shift-multiply rounds of the mix.  uint64 arrays wrap mod 2^64
+        # silently; the state is a Python int masked to 64 bits.
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += np.uint64(self._state)
+        self._state = (self._state + int(n) * int(_GAMMA)) & _MASK64
+        t = np.right_shift(z, _S30)
+        z ^= t
+        z *= _MIX1
+        z ^= np.right_shift(z, _S27, out=t)
+        z *= _MIX2
+        z ^= np.right_shift(z, _S31, out=t)
         return z
 
     def uniform(self, size=None) -> np.ndarray | float:
         if size is None:
-            return float(self._raw(1)[0] >> np.uint64(11)) * _U53
+            return float(self._raw(1)[0] >> _S11) * _U53
         shape = (size,) if np.isscalar(size) else tuple(size)
-        n = int(np.prod(shape))
-        z = self._raw(n)
+        z = self._raw(math.prod(shape))
         z >>= _S11
         # the top 53 bits convert to float64 exactly, and the scale is a power of 2
         u = np.multiply(z, _U53, dtype=np.float64)
@@ -79,9 +79,8 @@ class Rng:
         if size is None:
             return float(self.standard_normal(1)[0])
         shape = (size,) if np.isscalar(size) else tuple(size)
-        n = int(np.prod(shape))
-        m = (n + 1) // 2
-        z = self.uniform(2 * m)
+        n = math.prod(shape)
+        z = self.uniform(n + n % 2)
         # r = sqrt(-2 ln(1 - u1)), theta = 2 pi u2, z = (r cos theta, r sin theta);
         # the transcendental ufuncs see contiguous operands, as they always have
         r = np.negative(z[0::2])
@@ -89,12 +88,8 @@ class Rng:
         r *= -2.0
         np.sqrt(r, out=r)
         theta = z[1::2] * (2.0 * np.pi)
-        trig = np.cos(theta)
-        trig *= r
-        z[0::2] = trig
-        np.sin(theta, out=trig)
-        trig *= r
-        z[1::2] = trig
+        np.multiply(r, np.cos(theta), out=z[0::2])
+        np.multiply(r, np.sin(theta, out=theta), out=z[1::2])
         return z[:n].reshape(shape)
 
     def signs(self, size=None) -> np.ndarray | float:

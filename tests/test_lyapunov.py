@@ -40,6 +40,16 @@ ALL_KINDS = list(LyapunovKind)
 SCALES = (1e-3, 1e-1, 1.0, 10.0)
 
 
+@pytest.fixture(scope="module")
+def piecewise101():
+    return agmx.ensure_minimizer(agmx.build_piecewise(d=101))
+
+
+@pytest.fixture(scope="module")
+def piecewise1000():
+    return agmx.ensure_minimizer(agmx.build_piecewise(d=1000))
+
+
 def test_energy_function_and_module_coexist():
     # agmx.lyapunov is the energy-evaluation function; the submodule of the
     # same name must stay reachable through the import system
@@ -201,58 +211,87 @@ class TestSharedAnchor:
                     assert lyapunov(kind, f, x, y, mu_hat) == \
                         reference_lyapunov(kind, f, x, y, mu_hat)
 
-    @pytest.mark.parametrize("problem", ["lap19", "centered_quadratic", "minus_zero_quadratic"])
+    @pytest.mark.parametrize("name", ["laplacian2d", "piecewise", "logistic"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_sweep_equals_reference_loop(self, problem, kind, request):
+    def test_block_equals_row_calls(self, problem_trio, name, kind):
+        # a (B, d) call gives each row the bits of a (d,) call on that row
+        f = problem_trio[name]
+        a, beta, mu_hat = minimizer_anchor(f), flow_beta(kind, f), 0.5 * f.mu
+        rng = agmx.Rng(12)
+        xs = a.xstar + np.array(SCALES)[:, None] * rng.standard_normal((4, f.dim))
+        ys = a.xstar + np.array(SCALES)[:, None] * rng.standard_normal((4, f.dim))
+        lhs, rhs = strong_lyapunov_terms(kind, f, xs, ys, beta, mu_hat, anchor=a)
+        assert lhs.shape == rhs.shape == (4,)
+        rows = [strong_lyapunov_terms(kind, f, x, y, beta, mu_hat, anchor=a)
+                for x, y in zip(xs, ys)]
+        assert list(zip(lhs.tolist(), rhs.tolist())) == rows
+        one = strong_lyapunov_terms(kind, f, xs[:1], ys[:1], beta, mu_hat, anchor=a)
+        assert (one[0].tolist(), one[1].tolist()) == ([rows[0][0]], [rows[0][1]])
+
+    @pytest.mark.parametrize("d", [1, 3, 361, 1000, 31684])
+    def test_vecdot_equals_row_matmul(self, d):
+        # the block kernel's row dot products must be each row's own ``@``;
+        # the rows are strided views, as a sweep's odd-d draws are
+        rng = agmx.Rng(d)
+        a = rng.standard_normal((6, d + 1))[:, :d][0::2]
+        b = rng.standard_normal((3, d))
+        v = rng.standard_normal(d)
+        assert np.vecdot(a, b).tolist() == [float(p @ q) for p, q in zip(a, b)]
+        assert np.vecdot(v, a).tolist() == [float(v @ p) for p in a]
+        assert np.vecdot(a, a).tolist() == [float(p @ p) for p in a]
+
+    @pytest.mark.parametrize("problem,states", [
+        ("lap19", 10), ("centered_quadratic", 10), ("minus_zero_quadratic", 10),
+        ("lap19", 200), ("piecewise101", 200), ("piecewise1000", 200),
+    ])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_sweep_equals_reference_loop(self, problem, states, kind, request):
         # the sweep checks kind's own flow: the reference runs at flow_beta;
-        # x* is all +0.0, nonzero, and all -0.0
+        # x* is all +0.0, nonzero, and all -0.0.  At 200 states the sweep
+        # spans blocks: 19 at d = 361 (odd, the last partial), 5 at d = 101
+        # and 50 at d = 1000, and leaves its Rng where the loop leaves it
         f = request.getfixturevalue(problem)
         mu_hat, beta = 0.5 * f.mu, flow_beta(kind, f)
-        rep = strong_lyapunov_sweep(kind, f, agmx.Rng(3), 10, SCALES, mu_hat)
+        swept = agmx.Rng(3)
+        rep = strong_lyapunov_sweep(kind, f, swept, states, SCALES, mu_hat)
         rng = agmx.Rng(3)
         margins = []
-        for i in range(10):
+        for i in range(states):
             x = f.minimizer + SCALES[i % 4] * rng.standard_normal(f.dim)
             y = f.minimizer + SCALES[i % 4] * rng.standard_normal(f.dim)
             lhs, rhs = reference_strong_lyapunov_terms(kind, f, x, y, beta, mu_hat)
             assert (rep.lhs[i], rep.rhs[i], rep.residuals[i]) == (lhs, rhs, lhs - rhs)
             margins.append((lhs - rhs) + 1e-12 * (1.0 + abs(lhs)))
-        assert rep.k.tolist() == list(range(10))
+        assert rep.k.tolist() == list(range(states))
         assert rep.margins.tolist() == margins
         assert rep.worst == int(np.argmin(margins))
         assert rep.passes()
+        assert swept.uniform(3).tolist() == rng.uniform(3).tolist()
 
     @pytest.mark.parametrize("centered", [False, True], ids=["laplacian", "centered"])
+    @pytest.mark.parametrize("n", [87, 19])
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_sweep_state_allocates_only_its_draws_and_gradient(self, kind, centered):
-        # after a warm-up state, a state's traced peak above its start is at
-        # most the two drawn vectors and the oracle's output
-        lap = agmx.build_laplacian2d(87)
+    def test_sweep_peak_does_not_grow_with_states(self, kind, n, centered):
+        # at n = 87 a state's two rows do not fit one draw, so each block is
+        # one state; at n = 19 a block holds 11.  Past the first block, an
+        # added state may add its report rows (k, lhs, rhs, residual,
+        # allowance and the |lhs| it is formed from) to the traced peak,
+        # nothing more
+        lap = agmx.build_laplacian2d(n)
         d = lap.dim
         f = (agmx.QuadraticObjective(lap.matrix, agmx.Rng(4).standard_normal(d),
                                      lap.mu, lap.lipschitz) if centered else lap)
-        source = agmx.Rng(5)
-        pool = [source.standard_normal(d) for _ in range(6)]
-        readings = []
 
-        class Draws:
-            calls = 0
+        def peak(states):
+            tracemalloc.start()
+            try:
+                strong_lyapunov_sweep(kind, f, agmx.Rng(5), states, SCALES, 0.5 * f.mu)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-            def standard_normal(self, n):
-                if self.calls in (2, 4):      # the first draws of states 1 and 2
-                    readings.append(tracemalloc.get_traced_memory())
-                    tracemalloc.reset_peak()
-                self.calls += 1
-                return pool[self.calls - 1].copy()
-
-        tracemalloc.start()
-        try:
-            rep = strong_lyapunov_sweep(kind, f, Draws(), 3, SCALES, 0.5 * f.mu)
-        finally:
-            tracemalloc.stop()
-        assert len(rep.k) == 3
-        (start, _), (_, peak) = readings
-        assert peak - start <= 3 * 8 * d
+        few, many = 60, 600
+        assert peak(many) - peak(few) <= 6 * 8 * (many - few)
 
     def test_sweep_makes_one_oracle_call_per_state(self, lap9, monkeypatch):
         calls = count_calls_at_class(monkeypatch, agmx.QuadraticObjective)

@@ -88,6 +88,13 @@ class TestRng:
         np.testing.assert_array_equal(
             np.concatenate([first, second]), splitmix64_reference(42, 8))
 
+    def test_numpy_integer_sizes_draw_the_same_stream(self):
+        # the state advances in Python ints: a numpy-int size must not overflow it
+        r, ref = Rng(2**64 - 1), Rng(2**64 - 1)
+        np.testing.assert_array_equal(r.standard_normal(np.int64(7)), ref.standard_normal(7))
+        np.testing.assert_array_equal(r.uniform((np.int32(2), 3)), ref.uniform((2, 3)))
+        assert r.uniform() == ref.uniform()
+
     @given(seed=st.integers(min_value=0, max_value=2**63 - 1))
     @settings(deadline=None, max_examples=30)
     def test_same_seed_same_stream(self, seed):
