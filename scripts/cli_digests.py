@@ -16,7 +16,8 @@ Problems are ``lapN`` (laplacian2d on an N x N grid, seed 42), ``piecewise``
 all six ``diagnose`` checks with their residual CSVs, ``strong_partial
 --mu-hat-frac 1.0``, ``run`` under both regimes, and ``compare`` as CSV and
 JSON.  Then, whatever the problems, ``rates`` as CSV and JSON, a
-``strong_partial`` sweep at piecewise d = 1001 over 25 draw blocks, two
+``strong_partial`` sweep at piecewise d = 1001 over 25 draw blocks, one at
+Laplacian n = 65 (d = 4225, odd), whose y rows a second thread draws, two
 ``diagnose`` checks that exit 2 (a sweep that fails, a theorem check cut off
 at --max-iter), and four error cases, the last a sweep too large to allocate.
 
@@ -41,6 +42,9 @@ COMPARE_METHODS = "hnag,hnag_plus,nag,tm,hnag_box"
 # a sweep of odd d over several draw blocks, the last one partial
 SWEEP_BLOCKS = ["diagnose", "--problem", "piecewise", "--d", "1001", "--check",
                 "strong_partial", "--states", "99", "--out", "OUT"]
+# a sweep of odd d > 4096, whose y rows a worker thread draws
+SWEEP_AHEAD = ["diagnose", "--problem", "laplacian2d", "--n", "65", "--check",
+               "strong_partial", "--states", "9", "--out", "OUT"]
 EXIT_2 = [
     ["diagnose", "--problem", "piecewise", "--seed", "20", "--check", "strong_partial",
      "--mu-hat-frac", "1.0"],
@@ -78,7 +82,7 @@ def grid(names: list) -> list:
         commands += [["compare", *p, "--methods", COMPARE_METHODS, "--format", fmt,
                       "--out", "OUT"] for fmt in ("csv", "json")]
     commands += [["rates", "--out", "OUT"], ["rates", "--format", "json", "--out", "OUT"],
-                 SWEEP_BLOCKS]
+                 SWEEP_BLOCKS, SWEEP_AHEAD]
     return commands + EXIT_2 + ERRORS
 
 

@@ -16,6 +16,7 @@ these feed back into the solvers; they only certify what the solvers did.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -227,6 +228,49 @@ class CheckReport:
 _BLOCK_NORMALS = 2**13
 
 
+def _draw_blocks(rng: Rng, d: int, states: int, block: int):
+    """(start, stop, xs, ys) per block of ``block`` states, one draw each."""
+    width = d + d % 2
+    for start in range(0, states, block):
+        stop = min(start + block, states)
+        z = rng.standard_normal((2 * (stop - start), width))[:, :d]
+        yield start, stop, z[0::2], z[1::2]
+
+
+def _draw_rows_ahead(rng: Rng, d: int, states: int):
+    """(i, i + 1, x, y) per state, each y row drawn one state ahead on a worker.
+
+    The worker draws from its own copy of ``rng``, jumped to the first y
+    row, and copies each row into a (2, 1, d) ring that this generator owns:
+    state i's y sits in ring[i % 2] while the worker fills the other slot.
+    (Rows the worker returned would live in its own malloc arena, and the
+    main thread's next large allocations would fault in fresh pages.)
+    ``rng`` jumps over each y row, so the rows and its final position are
+    those of two draws per state.
+    Closing the generator joins the worker; a worker error is raised here.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    width = d + d % 2
+    ring = np.empty((2, 1, d))
+    ahead = copy.copy(rng)
+    ahead.jump(width)
+
+    def draw_y(slot: int) -> None:
+        ring[slot] = ahead.standard_normal((1, d))
+        ahead.jump(width)
+
+    with ThreadPoolExecutor(1) as worker:
+        pending = worker.submit(draw_y, 0)
+        for i in range(states):
+            pending.result()
+            if i + 1 < states:
+                pending = worker.submit(draw_y, (i + 1) % 2)
+            x = rng.standard_normal((1, d))
+            rng.jump(width)
+            yield i, i + 1, x, ring[i % 2]
+
+
 def strong_lyapunov_sweep(
     kind: LyapunovKind,
     f: ObjectiveLike,
@@ -242,7 +286,8 @@ def strong_lyapunov_sweep(
     s = scales[i % len(scales)].  x* is anchored once, so each state costs
     one ``value_and_gradient`` call.  States are drawn and evaluated a block
     at a time: as many as fit in one draw of ``_BLOCK_NORMALS`` normals, or,
-    where one state's two rows do not fit, one state with a draw per row.
+    where one state's two rows do not fit, one state, whose y row a second
+    thread draws while the state before it is evaluated.
     """
     if states < 1:
         raise ValueError(f"states must be >= 1, got {states}")
@@ -251,25 +296,22 @@ def strong_lyapunov_sweep(
     a = minimizer_anchor(f)
     beta = flow_beta(kind, f)
     d = f.dim
-    width = d + d % 2
-    per_draw = _BLOCK_NORMALS // (2 * width)
-    block = max(per_draw, 1)
+    per_draw = _BLOCK_NORMALS // (2 * (d + d % 2))
     lhs = np.empty(states)
     rhs = np.empty(states)
     scales = np.asarray(scales, dtype=np.float64)
-    scratch = np.empty((_SCRATCH_ROWS, block, d))
-    for start in range(0, states, block):
-        stop = min(start + block, states)
-        if per_draw:
-            z = rng.standard_normal((2 * (stop - start), width))[:, :d]
-            xs, ys = z[0::2], z[1::2]
-        else:
-            xs, ys = rng.standard_normal((1, d)), rng.standard_normal((1, d))
-        s = scales[np.arange(start, stop) % len(scales), None]
-        for z in (xs, ys):    # x* + s z, formed in z's own buffer
-            np.add(a.xstar, np.multiply(s, z, out=z), out=z)
-        lhs[start:stop], rhs[start:stop] = strong_lyapunov_terms(
-            kind, f, xs, ys, beta, mu_hat, anchor=a, scratch=scratch)
+    scratch = np.empty((_SCRATCH_ROWS, max(per_draw, 1), d))
+    draws = (_draw_blocks(rng, d, states, per_draw) if per_draw
+             else _draw_rows_ahead(rng, d, states))
+    try:
+        for start, stop, xs, ys in draws:
+            s = scales[np.arange(start, stop) % len(scales), None]
+            for z in (xs, ys):    # x* + s z, formed in z's own buffer
+                np.add(a.xstar, np.multiply(s, z, out=z), out=z)
+            lhs[start:stop], rhs[start:stop] = strong_lyapunov_terms(
+                kind, f, xs, ys, beta, mu_hat, anchor=a, scratch=scratch)
+    finally:
+        draws.close()
     return CheckReport(
         k=np.arange(states, dtype=np.int64),
         lhs=lhs,

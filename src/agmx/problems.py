@@ -43,7 +43,8 @@ class Rng:
       (cos, sin) and multi-dimensional shapes fill row-major.
     * ``signs``: +1 where uniform < 1/2, else -1.
 
-    Default seed 42.
+    Default seed 42.  A stream is not shared between threads: a thread draws
+    from its own copy, jumped to the part of the stream it draws.
     """
 
     def __init__(self, seed: int = 42):
@@ -56,7 +57,7 @@ class Rng:
         z = np.arange(1, n + 1, dtype=np.uint64)
         z *= _GAMMA
         z += np.uint64(self._state)
-        self._state = (self._state + int(n) * int(_GAMMA)) & _MASK64
+        self.jump(n)
         t = np.right_shift(z, _S30)
         z ^= t
         z *= _MIX1
@@ -64,6 +65,13 @@ class Rng:
         z *= _MIX2
         z ^= np.right_shift(z, _S31, out=t)
         return z
+
+    def jump(self, n: int) -> None:
+        """Move the stream n uniforms ahead, where drawing them would leave it.
+
+        A standard-normal draw of m values consumes m + m % 2 uniforms.
+        """
+        self._state = (self._state + int(n) * int(_GAMMA)) & _MASK64
 
     def uniform(self, size=None) -> np.ndarray | float:
         if size is None:

@@ -26,6 +26,17 @@ def lap39():
 
 
 @pytest.fixture(scope="session")
+def lap65():
+    # d = 4225: odd, and the smallest Laplacian whose sweep draws a row per call
+    return agmx.build_laplacian2d(65)
+
+
+@pytest.fixture(scope="session")
+def lap87():
+    return agmx.build_laplacian2d(87)
+
+
+@pytest.fixture(scope="session")
 def centered_quadratic():
     # a nonzero x*: the solver record and the sweep subtract it
     return diagonal_quadratic(np.geomspace(1.0, 100.0, 30), agmx.Rng(3).standard_normal(30))

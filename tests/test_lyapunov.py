@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -243,13 +244,16 @@ class TestSharedAnchor:
     @pytest.mark.parametrize("problem,states", [
         ("lap19", 10), ("centered_quadratic", 10), ("minus_zero_quadratic", 10),
         ("lap19", 200), ("piecewise101", 200), ("piecewise1000", 200),
+        ("lap65", 13), ("lap87", 13),
     ])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sweep_equals_reference_loop(self, problem, states, kind, request):
         # the sweep checks kind's own flow: the reference runs at flow_beta;
         # x* is all +0.0, nonzero, and all -0.0.  At 200 states the sweep
         # spans blocks: 19 at d = 361 (odd, the last partial), 5 at d = 101
-        # and 50 at d = 1000, and leaves its Rng where the loop leaves it
+        # and 50 at d = 1000.  At d = 4225 (odd) and 7569 a block is one
+        # state, whose y row a worker draws one state ahead.  Every sweep
+        # leaves its Rng where the loop leaves it
         f = request.getfixturevalue(problem)
         mu_hat, beta = 0.5 * f.mu, flow_beta(kind, f)
         swept = agmx.Rng(3)
@@ -272,15 +276,14 @@ class TestSharedAnchor:
     @pytest.mark.parametrize("n", [87, 19])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sweep_peak_does_not_grow_with_states(self, kind, n, centered):
-        # at n = 87 a state's two rows do not fit one draw, so each block is
-        # one state; at n = 19 a block holds 11.  Past the first block, an
-        # added state may add its report rows (k, lhs, rhs, residual,
-        # allowance and the |lhs| it is formed from) to the traced peak,
-        # nothing more
+        # a state adds its report rows (k, lhs, rhs, residual, allowance and
+        # the |lhs| it is formed from) to the traced peak, nothing more
         lap = agmx.build_laplacian2d(n)
         d = lap.dim
         f = (agmx.QuadraticObjective(lap.matrix, agmx.Rng(4).standard_normal(d),
                                      lap.mu, lap.lipschitz) if centered else lap)
+        # the first sweep imports the worker's modules and sets up the oracle
+        strong_lyapunov_sweep(kind, f, agmx.Rng(5), 1, SCALES, 0.5 * f.mu)
 
         def peak(states):
             tracemalloc.start()
@@ -291,7 +294,22 @@ class TestSharedAnchor:
                 tracemalloc.stop()
 
         few, many = 60, 600
-        assert peak(many) - peak(few) <= 6 * 8 * (many - few)
+        report = 6 * 8
+        if n == 19:
+            # a block holds 11 states, drawn and evaluated on this thread:
+            # past the first block, the peak grows by the report rows alone
+            assert peak(many) - peak(few) <= report * (many - few)
+            return
+        # a block is one state, and a worker draws the next state's y row
+        # meanwhile, so the peak depends on how the two threads interleave.
+        # It is bounded, whatever the states, by rows of d floats: the
+        # scratch (6), the y ring (2), two draws in flight (3 each: a draw
+        # peaks at its uint64 stream and mix, then at its floats and their
+        # halves), and what a state holds (4: the anchor's gradient, x, and
+        # the gradients the oracle returns and the kernel copies)
+        row = 8 * d
+        for states in (few, many):
+            assert peak(states) <= (6 + 2 + 2 * 3 + 4) * row + report * states
 
     def test_sweep_makes_one_oracle_call_per_state(self, lap9, monkeypatch):
         calls = count_calls_at_class(monkeypatch, agmx.QuadraticObjective)
@@ -362,6 +380,74 @@ class TestSharedAnchor:
         lhs, rhs, res = (float(v[0]) for v in (rep.lhs, rep.rhs, rep.residuals))
         assert lines[1] == f"0,{lhs!r},{rhs!r},{res!r}"
         assert len(lines) == 4
+
+
+def draws_by_thread(monkeypatch, fail_off_main=False):
+    """Patch ``Rng.standard_normal`` to count its draws by thread, main or not;
+    with ``fail_off_main`` a draw off the main thread raises MemoryError."""
+    counts = {"main": 0, "worker": 0}
+    draw = agmx.Rng.standard_normal
+
+    def counted(self, size=None):
+        main = threading.current_thread() is threading.main_thread()
+        counts["main" if main else "worker"] += 1
+        if fail_off_main and not main:
+            raise MemoryError("worker draw failed")
+        return draw(self, size)
+
+    monkeypatch.setattr(agmx.Rng, "standard_normal", counted)
+    return counts
+
+
+class TestSweepWorker:
+    """Where a state's two rows do not fit one draw (d > 4096), a worker
+    thread draws each y row one state ahead; no thread outlives the sweep."""
+
+    def test_worker_draws_the_y_rows(self, lap65, monkeypatch):
+        counts = draws_by_thread(monkeypatch)
+        before = threading.active_count()
+        strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap65, agmx.Rng(1), 5, SCALES)
+        assert counts == {"main": 5, "worker": 5}
+        assert threading.active_count() == before
+
+    def test_block_sweep_draws_on_its_own_thread(self, lap19, monkeypatch):
+        counts = draws_by_thread(monkeypatch)
+        strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap19, agmx.Rng(1), 30, SCALES)
+        assert counts == {"main": 3, "worker": 0}    # blocks of 11 states
+
+    def test_worker_error_propagates(self, lap65, monkeypatch):
+        draws_by_thread(monkeypatch, fail_off_main=True)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="worker draw failed"):
+            strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap65, agmx.Rng(1), 5, SCALES)
+        assert threading.active_count() == before
+
+    def test_main_thread_error_joins_the_worker(self, lap65):
+        # the oracle fails at the third state, with the fourth y row in flight
+        calls = {"n": 0}
+
+        def grad(x):
+            calls["n"] += 1
+            if calls["n"] == 4:          # the anchor takes the first gradient
+                raise ValueError("oracle failed")
+            return lap65.gradient(x)
+
+        f = SimpleObjective(lap65.value, grad, dim=lap65.dim, mu=lap65.mu,
+                            lipschitz=lap65.lipschitz, minimizer=lap65.minimizer)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="oracle failed") as caught:
+            strong_lyapunov_sweep(LyapunovKind.E_HNAG, f, agmx.Rng(1), 9, SCALES)
+        # the traceback still holds the sweep's frame, and so its draws
+        assert caught.tb is not None
+        assert threading.active_count() == before
+
+    def test_worker_error_is_one_error_line(self, monkeypatch, capsys):
+        draws_by_thread(monkeypatch, fail_off_main=True)
+        assert cli.main(["diagnose", "--problem", "laplacian2d", "--n", "65",
+                         "--check", "strong_partial", "--states", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: worker draw failed\n"
 
 
 class TestCheckMethods:

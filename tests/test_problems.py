@@ -95,6 +95,27 @@ class TestRng:
         np.testing.assert_array_equal(r.uniform((np.int32(2), 3)), ref.uniform((2, 3)))
         assert r.uniform() == ref.uniform()
 
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 8, 31])
+    def test_jump_skips_uniforms(self, seed, k):
+        r = Rng(seed)
+        r.jump(k)
+        np.testing.assert_array_equal(r.uniform(5), Rng(seed).uniform(k + 5)[k:])
+
+    @pytest.mark.parametrize("k", [0, 2, 8, 4226])
+    def test_jump_by_even_k_skips_normals(self, k):
+        # Box-Muller pairs consume uniforms in pairs, so an even jump stays aligned
+        r = Rng(9)
+        r.jump(k)
+        np.testing.assert_array_equal(r.standard_normal(7),
+                                      Rng(9).standard_normal(k + 7)[k:])
+
+    def test_jump_by_a_numpy_integer(self):
+        r, ref = Rng(2**64 - 1), Rng(2**64 - 1)
+        r.jump(np.int64(5))
+        ref.uniform(5)
+        assert r.uniform(3).tolist() == ref.uniform(3).tolist()
+
     @given(seed=st.integers(min_value=0, max_value=2**63 - 1))
     @settings(deadline=None, max_examples=30)
     def test_same_seed_same_stream(self, seed):

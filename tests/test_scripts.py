@@ -87,7 +87,7 @@ def test_cli_digests_lap9(tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
     assert runs[0].stdout == runs[1].stdout
     lines = runs[0].stdout.splitlines()
-    assert len(lines) == 6 + 1 + 2 + 2 + 2 + 1 + 2 + 4
+    assert len(lines) == 6 + 1 + 2 + 2 + 2 + 2 + 2 + 4
     assert {line.split()[0] for line in lines} == {"run", "compare", "diagnose", "rates"}
     for line in lines:
         command, cells = line.split(" | ")
