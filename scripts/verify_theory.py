@@ -1,30 +1,26 @@
 #!/usr/bin/env python3
 """End-to-end theory verification outside pytest.
 
-Runs every per-iteration contraction check and dissipation sweep on the
-three benchmark problems and prints one PASS/FAIL line per check.  Exits
-nonzero if anything fails.
+Runs each ``agmx diagnose`` check (every name in ``agmx.CHECKS``, plus
+``strong_partial --mu-hat-frac 0.99``) on the three benchmark problems, at
+the builders' defaults and ``--seed``, as ``agmx.cli.main`` in-process: it
+solves, sweeps and draws as that command does, and passes when it exits 0.
+Then checks two shift schedules.  Prints one PASS/FAIL line per check, with
+the command's JSON summary, and exits nonzero if anything fails.
 
 Usage: python scripts/verify_theory.py [--seed 42]
 """
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 import agmx
-from agmx import (
-    CHECKS,
-    ContractionTheorem,
-    LyapunovKind,
-    SolverConfig,
-    contraction_residuals,
-    shift_schedule,
-    solve,
-    strong_lyapunov_sweep,
-)
+from agmx import CHECKS, cli, shift_schedule
 
 
 def main() -> int:
@@ -32,11 +28,15 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
+    # label: (diagnose's problem flags, the problem built without its minimizer)
     problems = {
-        "laplacian2d(n=39)": agmx.build_laplacian2d(39),
-        "piecewise(defaults)": agmx.ensure_minimizer(agmx.build_piecewise()),
-        "logistic(defaults)": agmx.ensure_minimizer(agmx.build_logistic()),
+        "laplacian2d(n=39)": (["--problem", "laplacian2d", "--n", "39"],
+                              agmx.build_laplacian2d(39)),
+        "piecewise(defaults)": (["--problem", "piecewise"], agmx.build_piecewise(seed=args.seed)),
+        "logistic(defaults)": (["--problem", "logistic"], agmx.build_logistic(seed=args.seed)),
     }
+    checks = {name: ["--check", name] for name in CHECKS}
+    checks["strong_partial(mu_hat=0.99mu)"] = [*checks["strong_partial"], "--mu-hat-frac", "0.99"]
     failures = 0
 
     def report(ok, label, detail):
@@ -44,30 +44,14 @@ def main() -> int:
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
 
-    for name, f in problems.items():
-        x0 = agmx.Rng(args.seed).uniform(f.dim)
-        for check, (theorem, method) in CHECKS.items():
-            if not isinstance(theorem, ContractionTheorem):
-                continue
-            if theorem is ContractionTheorem.PROP_QUADRATIC and f.hessian_lipschitz != 0.0:
+    for name, (flags, f) in problems.items():
+        for check, check_flags in checks.items():
+            if check == "prop_quadratic" and f.hessian_lipschitz != 0.0:
                 continue    # the proposition holds for quadratics only
-            rep = contraction_residuals(theorem, solve(f, SolverConfig(method=method), x0), f)
-            report(rep.passes(), f"{check} on {name}",
-                   f"{len(rep.k)} iters, worst margin {rep.margins[rep.worst]:.2e}")
-
-    sweeps = [
-        (LyapunovKind.E_HNAG, 0.0),
-        (LyapunovKind.E_HNAG_PLUS, 0.0),
-        (LyapunovKind.E_PARTIAL, 0.5),
-        (LyapunovKind.E_PARTIAL, 0.99),
-    ]
-    for name, f in problems.items():
-        for kind, frac in sweeps:
-            rep = strong_lyapunov_sweep(kind, f, agmx.Rng(args.seed), 100,
-                                        (1e-2, 1.0, 50.0), frac * f.mu)
-            tag = kind.value if frac == 0.0 else f"{kind.value}(mu_hat={frac}mu)"
-            report(rep.passes(), f"{tag} sweep on {name}",
-                   f"worst margin {rep.margins[rep.worst]:.2e}")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(["diagnose", *flags, *check_flags, "--seed", str(args.seed)])
+            report(rc == 0, f"{check} on {name}", (out.getvalue() + err.getvalue()).strip())
 
     for rho in (1e-2, 1e-4):
         s = shift_schedule(delta0=1e-4, a=0.125, rho=rho, k_max=10**4)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 import agmx
-from agmx import MethodKind
+from agmx import CHECKS, MethodKind
 from agmx.cli import COMPARISON_CSV_HEADER
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -17,15 +17,24 @@ SCRIPTS = os.path.join(ROOT, "scripts")
 
 
 def test_verify_theory_passes_every_check(tmp_path):
-    # 7 contraction checks, 12 dissipation sweeps, 2 shift schedules; run
-    # from outside the repository, the script still finds its own agmx
-    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "verify_theory.py")],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[-1] == "0 failures"
-    assert sum(line.startswith("PASS ") for line in lines) == 21
-    assert not any(line.startswith("FAIL ") for line in lines)
+    # every CHECKS name on lap39, all but prop_quadratic on the two
+    # nonquadratics, strong_partial at mu_hat = 0.99 mu on each, and 2 shift
+    # schedules, at two seeds; run from outside the repository, the script
+    # still finds its own agmx
+    for seed in (42, 7):
+        proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "verify_theory.py"),
+                               "--seed", str(seed)],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == "0 failures"
+        assert sum(line.startswith("PASS ") for line in lines) == 21
+        assert not any(line.startswith("FAIL ") for line in lines)
+        checks = {}     # problem -> the checks that passed on it
+        for check, problem in re.findall(r"^PASS (\S+) on (\S+): ", proc.stdout, re.M):
+            checks.setdefault(problem, set()).add(check)
+        assert set(CHECKS) <= checks["laplacian2d(n=39)"]
+        assert [p for p in checks if "prop_quadratic" in checks[p]] == ["laplacian2d(n=39)"]
 
 
 def test_benchmark_laplacian_table(tmp_path):
