@@ -38,7 +38,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 
 from agmx import CHECKS, cli
 
-COMPARE_METHODS = "hnag,hnag_plus,nag,tm,hnag_box"
+COMPARE_METHODS = "hnag,hnag_plus,nag,tm"
 # a sweep of odd d over several draw blocks, the last one partial
 SWEEP_BLOCKS = ["diagnose", "--problem", "piecewise", "--d", "1001", "--check",
                 "strong_partial", "--states", "99", "--out", "OUT"]

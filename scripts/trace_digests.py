@@ -22,7 +22,7 @@ Problems are ``lapN`` (the Laplacian on an N x N grid), ``piecewise`` and
 ``logistic`` (builder defaults).
 
 Usage: python scripts/trace_digests.py [--problems lap43,lap87,lap178,piecewise,logistic]
-                                      [--methods gd,nag,tm,hnag,hnag_plus,hnag_box]
+                                      [--methods gd,nag,tm,hnag,hnag_plus]
                                       [--seeds 42,7]
 """
 

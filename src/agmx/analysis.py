@@ -197,8 +197,7 @@ def theoretical_rate(
     GD and NAG are leading-order expressions; TM's is its exact asymptotic
     squared-error factor (1 - 1/sqrt(kappa))^2 (Van Scoy, Freeman & Lynch
     2018).  The Hessian-driven entries are the exact contraction factors,
-    with the sharper quadratic/asymptotic factor selected by ``regime``;
-    ``HNAG_BOX``, which diverges on stiff problems, has none and gets NaN.
+    with the sharper quadratic/asymptotic factor selected by ``regime``.
     """
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
@@ -213,8 +212,6 @@ def theoretical_rate(
         return (1.0 - 1.0 / root) ** 2
     if method is MethodKind.HNAG_PLUS:
         return 1.0 / (1.0 + 2.0 / root)
-    if method is MethodKind.HNAG_BOX:
-        return math.nan
     if method is MethodKind.HNAG:
         if regime is RateRegime.QUADRATIC_OR_ASYMPTOTIC:
             return 1.0 / (1.0 + 2.0 * float(np.sqrt(2.0 / kappa)))

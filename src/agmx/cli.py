@@ -198,8 +198,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "iterations": trace.iterations,
         "status": trace.status.value,
         "measured_rate": _json_value(analysis.measured_rate(trace)),
-        "theoretical_rate": _json_value(
-            analysis.theoretical_rate(method, kappa, RateRegime(args.regime))),
+        "theoretical_rate": analysis.theoretical_rate(method, kappa, RateRegime(args.regime)),
     }
     print(json.dumps(summary))
     return 0 if trace.status is TerminalStatus.CONVERGED else _NOT_CONVERGED

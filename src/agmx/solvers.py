@@ -1,16 +1,11 @@
 """Iteration schemes: GD, NAG, TM baselines and the Hessian-driven methods.
 
-The Hessian-driven methods come in three flavours sharing one state layout
+The Hessian-driven methods come in two flavours sharing one state layout
 (primary iterate ``x`` plus auxiliary ``v = alpha * y``):
 
 * ``HNAG``       canonical scheme; x-update first with the cached gradient,
                  then one fresh gradient at the new point drives the v-update
                  (coefficients 1/L in x, 2/L in v).
-* ``HNAG_BOX``   the alternative box ordering: v-update first, then x-update,
-                 both from the gradient at the old point (coefficients 1/L in
-                 v, 2/L in x).  Kept as a diagnostic twin: on stiff problems
-                 it diverges where ``HNAG`` converges (see
-                 ``tests/test_solvers.py::TestBoxOrdering``).
 * ``HNAG_PLUS``  rescaled variant: smaller step alpha = sqrt(mu/L), double
                  weight on the auxiliary sequence in the x-update.  It runs
                  ``HNAG``'s kernel with its own row of ``_HNAG_COEFFS``.
@@ -40,15 +35,14 @@ class MethodKind(enum.Enum):
     TM = "tm"
     HNAG = "hnag"
     HNAG_PLUS = "hnag_plus"
-    HNAG_BOX = "hnag_box"
 
 
-# The Hessian-driven family's step constants: alpha^2 in units of mu/L, the
-# x- and v-gradient weights in units of 1/L, and v's weight in the x-update.
+# The Hessian-driven family's step constants: a = alpha^2 in units of mu/L,
+# which is also the v-gradient weight in units of 1/L (the x-gradient weight
+# is 1/L), and v's weight in the x-update.
 _HNAG_COEFFS = {
-    MethodKind.HNAG: (2.0, 1.0, 2.0, 1.0),
-    MethodKind.HNAG_PLUS: (1.0, 1.0, 1.0, 2.0),
-    MethodKind.HNAG_BOX: (2.0, 2.0, 1.0, 1.0),
+    MethodKind.HNAG: (2.0, 1.0),
+    MethodKind.HNAG_PLUS: (1.0, 2.0),
 }
 HNAG_FAMILY = tuple(_HNAG_COEFFS)
 
@@ -58,7 +52,6 @@ _ALIASES = {
     "hnagpp": MethodKind.HNAG,
     "hnag+": MethodKind.HNAG_PLUS,
     "hnagplus": MethodKind.HNAG_PLUS,
-    "hnagbox": MethodKind.HNAG_BOX,
 }
 
 
@@ -88,8 +81,8 @@ class MethodParams:
 
     For the Hessian-driven family, ``alpha_sq`` is stored exactly (a mu/L
     with a from ``_HNAG_COEFFS``) and ``alpha`` is its square root;
-    ``x_grad_coeff``/``v_grad_coeff`` are the gradient weights of the two
-    updates.
+    ``v_grad_coeff`` = a/L is the gradient weight of the v-update, and the
+    x-update's is ``inv_lipschitz``.
     """
 
     method: MethodKind
@@ -97,7 +90,6 @@ class MethodParams:
     alpha: float = 0.0
     alpha_sq: float = 0.0
     alpha_beta: float = 0.0
-    x_grad_coeff: float = 0.0
     v_grad_coeff: float = 0.0
     gd_step: float = 0.0
     momentum: float = 0.0
@@ -116,11 +108,11 @@ def make_params(method: MethodKind, mu: float, lipschitz: float) -> MethodParams
     common = dict(method=method, inv_lipschitz=1.0 / L)
 
     if method in _HNAG_COEFFS:
-        a, x_c, v_c, _ = _HNAG_COEFFS[method]
+        a = _HNAG_COEFFS[method][0]
         alpha_sq = a * mu / L
         return MethodParams(
             **common, alpha=np.sqrt(alpha_sq), alpha_sq=alpha_sq, alpha_beta=1.0 / L,
-            x_grad_coeff=x_c / L, v_grad_coeff=v_c / L,
+            v_grad_coeff=a / L,
         )
     if method is MethodKind.GD:
         return MethodParams(**common, gd_step=2.0 / (L + mu))
@@ -219,23 +211,16 @@ def _advance(params: MethodParams, f: ObjectiveLike,
     x_new, aux_new = dst.x, dst.aux
     method, a = params.method, params.alpha
 
-    if method is MethodKind.HNAG or method is MethodKind.HNAG_PLUS:
-        # x_new = (x + c aux - x_c g) / (1 + c a), where c aux is aux itself at c = 1
-        c = _HNAG_COEFFS[method][3]
+    if method in HNAG_FAMILY:
+        # x_new = (x + c aux - g / L) / (1 + c a), where c aux is aux itself at c = 1
+        c = _HNAG_COEFFS[method][1]
         v = aux if c == 1.0 else np.multiply(aux, c, out=x_new)
-        _combine(x, v, params.x_grad_coeff, g, 1.0 + c * a, x_new, tmp)
+        _combine(x, v, params.inv_lipschitz, g, 1.0 + c * a, x_new, tmp)
         dst.f_cache, dst.grad_cache = evaluate(x_new)
-        # aux_new = (aux + alpha^2 x_new - v_c g_new) / (1 + a)
+        # aux_new = (aux + alpha^2 x_new - v_grad_coeff g_new) / (1 + a)
         np.multiply(x_new, params.alpha_sq, out=aux_new)
         _combine(aux, aux_new, params.v_grad_coeff, dst.grad_cache, 1.0 + a,
                  aux_new, tmp)
-    elif method is MethodKind.HNAG_BOX:
-        # aux_new = (aux + alpha^2 x - v_c g) / (1 + a)
-        np.multiply(x, params.alpha_sq, out=aux_new)
-        _combine(aux, aux_new, params.v_grad_coeff, g, 1.0 + a, aux_new, tmp)
-        # x_new = (x + aux_new - x_c g) / (1 + a)
-        _combine(x, aux_new, params.x_grad_coeff, g, 1.0 + a, x_new, tmp)
-        dst.f_cache, dst.grad_cache = evaluate(x_new)
     elif method is MethodKind.GD:
         # x_new = x - step g
         np.multiply(g, params.gd_step, out=tmp)

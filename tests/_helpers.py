@@ -1,8 +1,9 @@
 """Shared test objects: an objective from plain callables, bespoke
 quadratics, a quartic, counting wrappers, the per-method reference
-parameters, the allocating reference step and solve loop, the two-gradient
-reference minimizer oracle, and the reference energies and dissipation terms
-evaluated through ``bregman`` and ``ShiftedObjective``."""
+parameters, the allocating reference step and solve loop, the mutant
+kernels, the two-gradient reference minimizer oracle, and the reference
+energies and dissipation terms evaluated through ``bregman`` and
+``ShiftedObjective``."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -24,6 +25,8 @@ from agmx.solvers import (
     DivergenceError,
     MethodParams,
     SolverState,
+    TerminalStatus,
+    Trace,
     make_params,
 )
 
@@ -223,21 +226,17 @@ def reference_make_params(method, mu, lipschitz):
     mu = float(mu)
     kappa = L / mu
     common = dict(method=method, inv_lipschitz=1.0 / L)
-    if method in (MethodKind.HNAG, MethodKind.HNAG_BOX):
+    if method is MethodKind.HNAG:
         alpha_sq = 2.0 * mu / L
-        if method is MethodKind.HNAG:
-            x_c, v_c = 1.0 / L, 2.0 / L
-        else:
-            x_c, v_c = 2.0 / L, 1.0 / L
         return MethodParams(
             **common, alpha=np.sqrt(alpha_sq), alpha_sq=alpha_sq, alpha_beta=1.0 / L,
-            x_grad_coeff=x_c, v_grad_coeff=v_c,
+            v_grad_coeff=2.0 / L,
         )
     if method is MethodKind.HNAG_PLUS:
         alpha_sq = mu / L
         return MethodParams(
             **common, alpha=np.sqrt(alpha_sq), alpha_sq=alpha_sq,
-            alpha_beta=1.0 / L, x_grad_coeff=1.0 / L, v_grad_coeff=1.0 / L,
+            alpha_beta=1.0 / L, v_grad_coeff=1.0 / L,
         )
     if method is MethodKind.GD:
         return MethodParams(**common, gd_step=2.0 / (L + mu))
@@ -264,16 +263,11 @@ def reference_step(method, state, f, params):
     if method is MethodKind.HNAG or method is MethodKind.HNAG_PLUS:
         a = params.alpha
         if method is MethodKind.HNAG:
-            x_new = (x + aux - params.x_grad_coeff * g) / (1.0 + a)
+            x_new = (x + aux - params.inv_lipschitz * g) / (1.0 + a)
         else:
-            x_new = (x + 2.0 * aux - params.x_grad_coeff * g) / (1.0 + 2.0 * a)
+            x_new = (x + 2.0 * aux - params.inv_lipschitz * g) / (1.0 + 2.0 * a)
         g_new = f.gradient(x_new)
         aux_new = (aux + params.alpha_sq * x_new - params.v_grad_coeff * g_new) / (1.0 + a)
-    elif method is MethodKind.HNAG_BOX:
-        a = params.alpha
-        aux_new = (aux + params.alpha_sq * x - params.v_grad_coeff * g) / (1.0 + a)
-        x_new = (x + aux_new - params.x_grad_coeff * g) / (1.0 + a)
-        g_new = f.gradient(x_new)
     elif method is MethodKind.GD:
         x_new = x - params.gd_step * g
         g_new = f.gradient(x_new)
@@ -291,6 +285,11 @@ def reference_step(method, state, f, params):
         x_new = (1.0 + d_tm) * xi_new - d_tm * xi
         aux_new = np.stack([xi_new, xi])
         g_new = f.gradient(x_new)
+    return _next_state(method, state, x_new, aux_new, g_new)
+
+
+def _next_state(method, state, x_new, aux_new, g_new):
+    """The state after ``state``; DivergenceError if any of it is not finite."""
     if not (np.isfinite(x_new).all() and np.isfinite(aux_new).all()
             and np.isfinite(g_new).all()):
         raise DivergenceError(method, state.k + 1)
@@ -298,11 +297,33 @@ def reference_step(method, state, f, params):
                        f_cache=float("nan"))
 
 
-def reference_solve(f, method, x0, tol_rel_grad=1e-8, max_iter=10**6):
-    """Trace columns of a solve made of ``reference_step`` and ``f.value``.
+def box_ordering_step(state, f):
+    """The box ordering of hnag's update: v first, then x, both from the
+    gradient at the old x, with the gradient weights swapped (1/L in v, 2/L
+    in x) and hnag's alpha^2 = 2 mu/L, so the state keeps hnag's layout
+    v = alpha y.  Its stiff mode is unstable once kappa is moderately large
+    (``test_solvers.py::TestBoxOrdering``)."""
+    L = f.lipschitz
+    alpha_sq = 2.0 * f.mu / L
+    a = np.sqrt(alpha_sq)
+    x, aux, g = state.x, state.aux, state.grad_cache
+    aux_new = (aux + alpha_sq * x - (1.0 / L) * g) / (1.0 + a)
+    x_new = (x + aux_new - (2.0 / L) * g) / (1.0 + a)
+    return _next_state(MethodKind.HNAG, state, x_new, aux_new, f.gradient(x_new))
 
-    Returns a dict keyed like the ``Trace`` fields; raises ``DivergenceError``
-    where a step or a record goes non-finite.
+
+# Wrong kernels that a check should reject: name -> (the method whose state
+# layout, trace label and checks it takes, its step (state, f) -> state)
+MUTANTS = {
+    "box_ordering": (MethodKind.HNAG, box_ordering_step),
+}
+
+
+def reference_solve(f, method, x0, tol_rel_grad=1e-8, max_iter=10**6, kernel=None):
+    """The ``Trace`` of a solve made of ``reference_step`` and ``f.value``,
+    or of ``kernel(state, f)`` (a ``MUTANTS`` step) run as ``method``.
+
+    Raises ``DivergenceError`` where a step or a record goes non-finite.
     """
     params = make_params(method, f.mu, f.lipschitz)
     x0 = np.asarray(x0, dtype=np.float64)
@@ -351,8 +372,10 @@ def reference_solve(f, method, x0, tol_rel_grad=1e-8, max_iter=10**6):
     record(state)
     threshold = tol_rel_grad * cols["grad_norm"][0]
     while cols["grad_norm"][-1] > threshold and state.k < max_iter:
-        state = reference_step(method, state, f, params)
+        state = (kernel(state, f) if kernel else
+                 reference_step(method, state, f, params))
         record(state)
-    out = {c: np.asarray(v) for c, v in cols.items()}
-    out["k"] = np.arange(len(cols["f_gap"]), dtype=np.int64)
-    return out
+    status = (TerminalStatus.CONVERGED if cols["grad_norm"][-1] <= threshold
+              else TerminalStatus.MAX_ITER)
+    return Trace(method, status, np.arange(len(cols["f_gap"]), dtype=np.int64),
+                 **{c: np.asarray(v) for c, v in cols.items()})

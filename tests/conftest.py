@@ -21,6 +21,25 @@ def lap19():
 
 
 @pytest.fixture(scope="session")
+def understated_laplacian():
+    """The Laplacian builder with L declared at a quarter of its value.
+
+    Every step is about four times too long, so every method diverges: on
+    lap19 from Rng(42).uniform, hnag at step 177, hnag_plus at 181 and nag
+    at 204; on lap9 at 210, 220 and 222.
+    """
+    def build(n=39):
+        f = agmx.build_laplacian2d(n)
+        return agmx.QuadraticObjective(f._op, f.center, f.mu, f.lipschitz / 4)
+    return build
+
+
+@pytest.fixture(scope="session")
+def understated_lap19(understated_laplacian):
+    return understated_laplacian(19)
+
+
+@pytest.fixture(scope="session")
 def lap39():
     return agmx.build_laplacian2d(39)
 

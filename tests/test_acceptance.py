@@ -64,15 +64,11 @@ def _drift_after_100_steps(f, method):
 def test_criterion_01_fixed_points(trio):
     """Every method holds the minimizer for 100 steps on all three families.
 
-    The quadratic family has an exact stationary point and all six methods
-    (box ordering included) must hold it.  The other two families only have
-    oracle minimizers with a ~1e-12-relative gradient residual; the five
-    convergent methods must stay within that residual's scale.  The box
-    ordering is excluded there: its fixed point is linearly unstable on
-    ill-conditioned problems (see test_solvers), so it amplifies any inexact
-    stationarity and no implementation of it could hold an oracle point.
+    The quadratic family has an exact stationary point and all five methods
+    must hold it.  The other two families only have oracle minimizers with a
+    ~1e-12-relative gradient residual; the methods must stay within that
+    residual's scale.
     """
-    benchmark = [m for m in ALL_METHODS if m is not MethodKind.HNAG_BOX]
     for method in ALL_METHODS:
         drift = _drift_after_100_steps(trio["laplacian2d"], method)
         assert drift <= 1e-14, ("laplacian2d", method, drift)
@@ -81,11 +77,11 @@ def test_criterion_01_fixed_points(trio):
         xstar = np.asarray(f.minimizer)
         g_res = float(np.linalg.norm(f.gradient(xstar)))
         tol = 1e-12 * (1.0 + float(np.linalg.norm(xstar))) + 4.0 * g_res / f.mu
-        for method in benchmark:
+        for method in ALL_METHODS:
             drift = _drift_after_100_steps(f, method)
             assert drift <= tol, (name, method, drift, tol)
-    _announce(1, "exact fixed point held by all 6 methods; oracle fixed points "
-                 "held by the 5 convergent methods on both nonquadratic families")
+    _announce(1, "exact fixed point held by all 5 methods; oracle fixed points "
+                 "held by all 5 on both nonquadratic families")
 
 
 def test_criterion_02_gradient_correctness(lap9, trio):

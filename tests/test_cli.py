@@ -187,6 +187,10 @@ class TestErrorPaths:
          MU_HAT_ERROR + "2.0"),
         (["run", *LAP9, "--method", "hnag", "--out", ""],
          "run requires --out for the trace CSV"),
+        # the box ordering is no longer a method, under either name
+        (["run", *LAP9, "--method", "hnagbox", "--out", "@OUT"], "unknown method 'hnagbox'"),
+        (["run", *LAP9, "--method", "hnag_box", "--out", "@OUT"],
+         "unknown method 'hnag_box'"),
     ])
     def test_one_error_line(self, argv, message, tmp_path, monkeypatch, capsys):
         def no_oracle(*args, **kwargs):
@@ -281,13 +285,6 @@ class TestRun:
         assert summary["status"] == "converged"
         assert summary["iterations"] == len(lines) - 2
 
-    def test_box_ordering_rate_is_null(self, tmp_path, capsys):
-        rc = run_cli(["run", *LAP9, "--method", "hnag_box", "--max-iter", "5",
-                      "--out", str(tmp_path / "t.csv")])
-        assert rc == 2
-        summary = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
-        assert summary["theoretical_rate"] is None
-
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["run", *LAP9, "--method", "nag", "--seed", "7"]
@@ -330,14 +327,16 @@ class TestRun:
         assert rc == 3
         assert "17" in capsys.readouterr().err
 
-    def test_real_divergence_via_box_ordering(self, tmp_path, capsys):
-        # the box ordering genuinely blows up on this problem (see
+    def test_real_divergence(self, tmp_path, monkeypatch, understated_laplacian, capsys):
+        # hnag genuinely blows up on a Laplacian declaring L/4 (see
         # test_solvers); the CLI must surface it as exit code 3
+        monkeypatch.setitem(problems.BUILDERS, "laplacian2d", understated_laplacian)
         rc = run_cli(["run", "--problem", "laplacian2d", "--n", "19",
-                      "--method", "hnagbox", "--seed", "42",
+                      "--method", "hnag", "--seed", "42",
                       "--out", str(tmp_path / "t.csv")])
         assert rc == 3
-        assert "non-finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: hnag produced non-finite values at iteration 177\n"
 
     def test_seed_env_var(self, tmp_path, monkeypatch, capsys):
         flag = tmp_path / "flag.csv"
@@ -487,15 +486,6 @@ class TestRates:
         hnag = [r for r in payload if r["method"] == "hnag"][0]
         assert hnag["rate_special"] < hnag["rate_general"]
 
-    def test_box_ordering_has_no_rate(self, capsys):
-        assert run_cli(["rates", "--methods", "hnagbox", "--kappas", "100"]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "hnag_box,100.0,nan,nan"
-        assert run_cli(["rates", "--methods", "hnagbox", "--kappas", "100",
-                        "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out, parse_constant=pytest.fail) == [
-            {"method": "hnag_box", "kappa": 100.0, "rate_general": None,
-             "rate_special": None}]
-
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(["rates", "--out", str(a)]) == 0
@@ -555,16 +545,21 @@ class TestOutputFormat:
                                             report.residuals)):
             assert same_bits(parsed, column)
 
-    def test_diverged_compare_row(self, capsys):
+    def test_diverged_compare_row(self, monkeypatch, understated_laplacian, capsys):
+        # under L/4 both methods diverge: a diverged row counts the steps to
+        # divergence and has no measured rate, nan in CSV and null in JSON
+        monkeypatch.setitem(problems.BUILDERS, "laplacian2d", understated_laplacian)
         argv = ["compare", "--problem", "laplacian2d", "--n", "19",
-                "--methods", "hnag,hnagbox", "--seed", "42"]
+                "--methods", "hnag,nag", "--seed", "42"]
         assert run_cli(argv) == 2
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
-        assert [r[0] for r in rows] == ["method", "hnag", "hnag_box"]
-        assert rows[2][4] == rows[2][5] == "nan"
+        assert [r[0] for r in rows] == ["method", "hnag", "nag"]
+        assert [r[2] for r in rows[1:]] == ["177", "204"]
+        assert [r[4] for r in rows[1:]] == ["nan", "nan"]
         assert run_cli([*argv, "--format", "json"]) == 2
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[1]["method"] == "hnag_box"
-        assert payload[1]["measured_rate"] is None
-        assert payload[1]["theoretical_rate"] is None
-        assert payload[0]["measured_rate"] == float(rows[1][4])
+        payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert [r["method"] for r in payload] == ["hnag", "nag"]
+        for row, cells in zip(payload, rows[1:]):
+            assert row["iterations"] == int(cells[2])
+            assert row["measured_rate"] is None
+            assert row["theoretical_rate"] == float(cells[5])

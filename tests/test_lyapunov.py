@@ -28,11 +28,13 @@ from agmx import cli
 from agmx.core import DimensionError, MinimizerUnknownError, ShiftedObjective
 
 from _helpers import (
+    MUTANTS,
     CountingObjective,
     SimpleObjective,
     count_calls_at_class,
     diagonal_quadratic,
     reference_lyapunov,
+    reference_solve,
     reference_strong_lyapunov_terms,
     simple_1d_quadratic,
 )
@@ -617,6 +619,37 @@ class TestContraction:
         lines = out.read_text().splitlines()
         assert lines[0] == "k,lhs,rhs,residual"
         assert len(lines) == len(rep.residuals) + 1
+
+
+class TestMutantTable:
+    """Wrong kernels, each run under the label of the method it poses as."""
+
+    # per grid: the box trace's steps to tol 1e-8 from Rng(42).uniform, and
+    # the worst row of each check, None where the check passes it
+    @pytest.mark.parametrize("n,iterations,funcval_worst,quadratic_worst", [
+        (2, 47, None, 0), (3, 70, None, 1), (4, 155, 7, 1), (5, 1125, 3, 2)])
+    def test_box_ordering_through_the_trace_checks(self, n, iterations, funcval_worst,
+                                                   quadratic_worst):
+        method, kernel = MUTANTS["box_ordering"]
+        f = agmx.build_laplacian2d(n)
+        trace = reference_solve(f, method, agmx.Rng(42).uniform(f.dim), kernel=kernel)
+        assert trace.method is MethodKind.HNAG
+        assert trace.status is agmx.TerminalStatus.CONVERGED
+        assert trace.iterations == iterations
+        for check, worst in (("thm_hnag_funcval", funcval_worst),
+                             ("prop_quadratic", quadratic_worst)):
+            report = contraction_residuals(CHECKS[check][0], trace, f)
+            assert report.passes() is (worst is None), check
+            if worst is not None:
+                assert report.worst == worst, check
+
+    @pytest.mark.parametrize("n,iteration", [(6, 6663), (7, 3366)])
+    def test_box_ordering_diverges_from_lap6_on(self, n, iteration):
+        method, kernel = MUTANTS["box_ordering"]
+        f = agmx.build_laplacian2d(n)
+        with pytest.raises(agmx.DivergenceError) as err:
+            reference_solve(f, method, agmx.Rng(42).uniform(f.dim), kernel=kernel)
+        assert err.value.iteration == iteration
 
 
 class TestAsymmetryBound:

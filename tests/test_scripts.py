@@ -75,9 +75,6 @@ def test_trace_digests_lap9():
     for line in lines:
         fields = dict(cell.split("=") for cell in line.split()[2:])
         assert fields.pop("lean") == "same"
-        if fields["status"] == "diverged":
-            assert list(fields) == ["seed", "iterations", "status"]
-            continue
         assert fields["status"] == "converged"
         digests = list(fields.items())[3:]
         assert [name for name, _ in digests] == [
@@ -104,8 +101,11 @@ def test_cli_digests_lap9(tmp_path):
         assert list(fields) == ["exit", "stdout", "stderr", "out"]
         assert all(re.fullmatch("[0-9a-f]{64}", fields[k]) for k in ("stdout", "stderr"))
         assert fields["out"] == "none" or re.fullmatch("[0-9a-f]{64}", fields["out"])
-    exits = [line.split(" | ")[1].split()[0] for line in lines[-6:]]
-    assert exits == ["exit=2"] * 2 + ["exit=1"] * 4
+    exits = [line.split(" | ")[1].split()[0] for line in lines]
+    # every method of the compare grid converges on lap9
+    assert [e for line, e in zip(lines[:-6], exits)
+            if line.startswith("compare")] == ["exit=0"] * 2
+    assert exits[-6:] == ["exit=2"] * 2 + ["exit=1"] * 4
 
 
 def test_readme_library_example_runs():

@@ -19,6 +19,7 @@ from agmx.solvers import (
 from _helpers import (
     CountingObjective,
     SimpleObjective,
+    box_ordering_step,
     count_calls_at_class,
     diagonal_quadratic,
     reference_make_params,
@@ -35,7 +36,7 @@ class TestParseMethod:
         ("gd", MethodKind.GD), ("NAG", MethodKind.NAG), ("tm", MethodKind.TM),
         ("hnag", MethodKind.HNAG), ("hnagpp", MethodKind.HNAG),
         ("HNAG++", MethodKind.HNAG), ("hnag+", MethodKind.HNAG_PLUS),
-        ("hnagplus", MethodKind.HNAG_PLUS), ("hnag_box", MethodKind.HNAG_BOX),
+        ("hnagplus", MethodKind.HNAG_PLUS),
     ])
     def test_aliases(self, name, kind):
         assert parse_method(name) is kind
@@ -48,6 +49,11 @@ class TestParseMethod:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="nosuch"):
             parse_method("nosuch")
+
+    @pytest.mark.parametrize("name", ["hnag_box", "hnagbox"])
+    def test_box_ordering_is_not_a_method(self, name):
+        with pytest.raises(ValueError, match=f"unknown method '{name}'"):
+            parse_method(name)
 
 
 class TestMakeParams:
@@ -161,8 +167,7 @@ class TestInitState:
 
 
 class TestGradientEvaluationCount:
-    @pytest.mark.parametrize("method", [
-        MethodKind.HNAG, MethodKind.HNAG_BOX, MethodKind.HNAG_PLUS])
+    @pytest.mark.parametrize("method", [MethodKind.HNAG, MethodKind.HNAG_PLUS])
     def test_one_gradient_call_per_step(self, method):
         f = CountingObjective(diagonal_quadratic([1.0, 10.0, 100.0]))
         p = make_params(method, f.mu, f.lipschitz)
@@ -211,32 +216,33 @@ class TestSchemeFormConsistency:
 
 
 class TestBoxOrdering:
-    # The box ordering swaps the 1/L and 2/L gradient weights relative to the
-    # scheme.  On the mode of curvature lambda = L its step is linear in
-    # (x, v), and the spectral radius of that 2 x 2 iteration matrix tends
-    # to the golden ratio as kappa grows, so on ill-conditioned problems it
-    # amplifies stiff components geometrically and diverges.
+    # The box ordering (the mutant ``box_ordering_step``) swaps the 1/L and
+    # 2/L gradient weights relative to the scheme.  On the mode of curvature
+    # lambda = L its step is linear in (x, v), and the spectral radius of
+    # that 2 x 2 iteration matrix tends to the golden ratio as kappa grows,
+    # so on ill-conditioned problems it amplifies stiff components
+    # geometrically and diverges.
 
     @staticmethod
     def stiff_mode_radius(mu, lipschitz):
-        """Spectral radius of the box step on f(x) = L x^2 / 2, whose columns
-        are the steps from the basis states (x, v) = (1, 0) and (0, 1)."""
-        f = simple_1d_quadratic(lipschitz)
-        params = make_params(MethodKind.HNAG_BOX, mu, lipschitz)
+        """Spectral radius of the box step on f(x) = L x^2 / 2 with declared
+        (mu, L), whose columns are the steps from the basis states
+        (x, v) = (1, 0) and (0, 1)."""
+        f = dataclasses.replace(simple_1d_quadratic(lipschitz), mu=mu)
         columns = []
         for x, v in ((1.0, 0.0), (0.0, 1.0)):
             x = np.array([x])
             state = SolverState(x=x, aux=np.array([v]), k=0,
                                 grad_cache=f.gradient(x), f_cache=f.value(x))
-            new = step(MethodKind.HNAG_BOX, state, f, params)
+            new = box_ordering_step(state, f)
             columns.append([new.x[0], new.aux[0]])
         return max(abs(np.linalg.eigvals(np.array(columns).T)))
 
     def test_box_ordering_unstable_on_stiff_problems(self, lap19):
         assert self.stiff_mode_radius(lap19.mu, lap19.lipschitz) > 1.0
         with pytest.raises(DivergenceError):
-            solve(lap19, SolverConfig(method=MethodKind.HNAG_BOX),
-                  agmx.Rng(42).uniform(lap19.dim))
+            reference_solve(lap19, MethodKind.HNAG, agmx.Rng(42).uniform(lap19.dim),
+                            kernel=box_ordering_step)
 
     def test_radius_tends_to_the_golden_ratio(self):
         # to first order in a = sqrt(2/kappa) the radius is
@@ -371,23 +377,25 @@ class TestBitIdenticalToReference:
 
     @pytest.mark.parametrize("method", list(MethodKind))
     @pytest.mark.parametrize("problem", ["lap19", "small_piecewise", "small_logistic",
-                                         "centered_quadratic", "minus_zero_quadratic"])
+                                         "centered_quadratic", "minus_zero_quadratic",
+                                         "understated_lap19"])
     def test_every_column_equal(self, problem, method, request):
         f = request.getfixturevalue(problem)
         x0 = agmx.Rng(42).uniform(f.dim)
-        max_iter = 3000     # hnag_box neither converges nor diverges on piecewise
+        max_iter = 3000     # gd needs ~1e5 steps on the nonquadratics
         try:
             ref = reference_solve(f, method, x0, max_iter=max_iter)
         except DivergenceError as err:
-            # hnag_box: same divergence step, then equal columns up to it
+            # understated L: same divergence step, then equal columns up to it
             with pytest.raises(DivergenceError) as ours:
                 solve(f, SolverConfig(method=method, max_iter=max_iter), x0)
             assert ours.value.iteration == err.iteration
             max_iter = err.iteration - 1
             ref = reference_solve(f, method, x0, max_iter=max_iter)
         tr = solve(f, SolverConfig(method=method, max_iter=max_iter), x0)
+        assert tr.status is ref.status
         for col in TRACE_COLUMNS:
-            assert np.array_equal(getattr(tr, col), ref[col]), col
+            assert np.array_equal(getattr(tr, col), getattr(ref, col)), col
 
     @pytest.mark.parametrize("problem", ["piecewise_default", "logistic_default", "lap178"])
     def test_grad_norm_is_the_linalg_norm(self, problem, request):
@@ -461,12 +469,15 @@ class TestDivergenceParity:
             step(method, st, f, p)
         assert err.value.iteration == 1
 
-    def test_box_ordering_diverges_at_recorded_step(self):
-        f = agmx.build_laplacian2d(43)
+    @pytest.mark.parametrize("n,method,iteration", [
+        (19, MethodKind.HNAG, 177), (19, MethodKind.HNAG_PLUS, 181), (19, MethodKind.NAG, 204),
+        (9, MethodKind.HNAG, 210), (9, MethodKind.HNAG_PLUS, 220), (9, MethodKind.NAG, 222)])
+    def test_understated_lipschitz_diverges_at_recorded_step(self, n, method, iteration,
+                                                             understated_laplacian):
+        f = understated_laplacian(n)
         with pytest.raises(DivergenceError) as err:
-            solve(f, SolverConfig(method=MethodKind.HNAG_BOX),
-                  agmx.Rng(42).uniform(f.dim))
-        assert err.value.iteration == 846
+            solve(f, SolverConfig(method=method), agmx.Rng(42).uniform(f.dim))
+        assert err.value.iteration == iteration
 
 
 @pytest.fixture(scope="module")
@@ -505,12 +516,13 @@ class ValueSteps(CountingObjective):
 class TestGradientOnlySolve:
     """``solve(..., energies=False)`` against the full solve."""
 
-    # gd needs ~1e5 steps on the nonquadratics, hnag_box 1e6 on piecewise
+    # gd needs ~1e5 steps on the nonquadratics
     MAX_ITER = 3000
 
     @pytest.mark.parametrize("method", list(MethodKind))
     @pytest.mark.parametrize("problem,seed", [("lap43", 42), ("piecewise_seed7", 7),
-                                              ("logistic_default", 42)])
+                                              ("logistic_default", 42),
+                                              ("understated_lap19", 42)])
     def test_same_steps_and_columns(self, problem, seed, method, request):
         f = request.getfixturevalue(problem)
         full, full_div = solve_or_divergence(f, method, self.MAX_ITER, seed)
@@ -524,17 +536,17 @@ class TestGradientOnlySolve:
         for col in ("f_gap", "E", "E_shifted", "grad_shifted_sq"):
             assert getattr(lean, col) is None, col
 
-    def test_one_value_through_divergence(self, lap43):
-        # lap43's hnag_box blows up geometrically; the gradient-only solve
-        # stops at the full solve's step, having taken f(x_0) alone, ahead
-        # of every gradient
-        f = ValueSteps(lap43)
+    def test_one_value_through_divergence(self, understated_lap19):
+        # hnag blows up geometrically under an understated L; the
+        # gradient-only solve stops at the full solve's step, having taken
+        # f(x_0) alone, ahead of every gradient
+        f = ValueSteps(understated_lap19)
         with pytest.raises(DivergenceError) as err:
-            solve(f, SolverConfig(method=MethodKind.HNAG_BOX), agmx.Rng(42).uniform(f.dim),
+            solve(f, SolverConfig(method=MethodKind.HNAG), agmx.Rng(42).uniform(f.dim),
                   energies=False)
-        assert err.value.iteration == 846
+        assert err.value.iteration == 177
         assert f.grads_before_value == [0]
-        assert f.grad_calls == 1 + 846
+        assert f.grad_calls == 1 + 177
 
 
 class TestCountingAndAliasing:
