@@ -643,7 +643,8 @@ class TestMutantTable:
             if worst is not None:
                 assert report.worst == worst, check
 
-    @pytest.mark.parametrize("n,iteration", [(6, 6663), (7, 3366)])
+    # lap43's step is the one the box ordering had as a solver method
+    @pytest.mark.parametrize("n,iteration", [(6, 6663), (7, 3366), (43, 846)])
     def test_box_ordering_diverges_from_lap6_on(self, n, iteration):
         method, kernel = MUTANTS["box_ordering"]
         f = agmx.build_laplacian2d(n)

@@ -17,6 +17,7 @@ from agmx.solvers import (
 )
 
 from _helpers import (
+    MUTANTS,
     CountingObjective,
     SimpleObjective,
     box_ordering_step,
@@ -255,6 +256,57 @@ class TestBoxOrdering:
         for kappa, radius in zip(kappas[1:], radii[1:]):
             a = np.sqrt(2.0 / kappa)
             assert (phi - radius) / a == pytest.approx(1.0 + 3.0 / np.sqrt(5.0), rel=1e-3)
+
+
+class TestMutantKernels:
+    """What every ``MUTANTS`` row keeps of the method it poses as, so that
+    only the contraction checks can tell it apart."""
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_hundred_steps_at_minimizer(self, name, lap9):
+        method, kernel = MUTANTS[name]
+        f = lap9
+        st = init_state(method, f, f.minimizer, make_params(method, f.mu, f.lipschitz))
+        for _ in range(100):
+            st = kernel(st, f)
+        assert st.k == 100
+        assert np.max(np.abs(st.x - f.minimizer)) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_one_gradient_call_per_step(self, name):
+        method, kernel = MUTANTS[name]
+        f = CountingObjective(diagonal_quadratic([1.0, 10.0, 100.0]))
+        st = init_state(method, f, np.array([1.0, -2.0, 0.5]),
+                        make_params(method, f.mu, f.lipschitz))
+        f.grad_calls = f.value_calls = 0
+        for _ in range(5):
+            st = kernel(st, f)
+        assert (f.grad_calls, f.value_calls) == (5, 0)
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_step_differs_from_the_method_it_poses_as(self, name, lap9):
+        method, kernel = MUTANTS[name]
+        f = lap9
+        p = make_params(method, f.mu, f.lipschitz)
+        st = init_state(method, f, agmx.Rng(2).uniform(f.dim), p)
+        ours, ref = kernel(st, f), reference_step(method, st, f, p)
+        assert ours.aux.shape == ref.aux.shape
+        assert not np.array_equal(ours.x, ref.x)
+        assert not np.array_equal(ours.aux, ref.aux)
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_step_leaves_input_state_unmodified(self, name, lap9):
+        method, kernel = MUTANTS[name]
+        f = lap9
+        st = init_state(method, f, agmx.Rng(2).uniform(f.dim),
+                        make_params(method, f.mu, f.lipschitz))
+        before = (st.x.copy(), st.aux.copy(), st.grad_cache.copy(), st.f_cache, st.k)
+        new = kernel(st, f)
+        for kept, now in zip(before[:3], (st.x, st.aux, st.grad_cache)):
+            assert np.array_equal(kept, now)
+        assert (st.f_cache, st.k) == before[3:]
+        assert not np.shares_memory(new.x, st.x)
+        assert not np.shares_memory(new.aux, st.aux)
 
 
 class TestSolve:
