@@ -10,7 +10,8 @@ unwritable --out included, and a size too large to allocate), 2
 non-convergence or failed check, 3 divergence.  The seed comes
 from --seed, else the AGMX_SEED environment variable, else 42.  The start
 vector x0 is drawn componentwise from Unif(0,1) with a fresh Rng(seed);
-diagnose sweep states use Rng(seed+1).
+diagnose sweep states are drawn uniformly around x* with Rng(seed+1), on
+the calling thread, and a sweep draws no x0.
 """
 
 from __future__ import annotations
@@ -137,16 +138,24 @@ def _build_problem(args: argparse.Namespace, seed: int):
     return problems.rebuild({"kind": args.problem, **spec})
 
 
-def _setup(args: argparse.Namespace, method: solvers.MethodKind):
-    """(problem with its minimizer, start x0, solver config, seed).
+def _setup(args: argparse.Namespace, method: solvers.MethodKind, target=None):
+    """(problem with its minimizer, solver config, seed).
 
     The config is checked first, so a bad --tol or --max-iter fails before
-    the problem is built and its minimizer oracle runs.
+    the problem is built; a problem that the diagnose check's ``target``
+    does not apply to fails before its minimizer oracle runs.
     """
     seed = _seed_of(args)
     config = SolverConfig(method=method, tol_rel_grad=args.tol, max_iter=args.max_iter)
-    f = analysis.ensure_minimizer(_build_problem(args, seed))
-    return f, problems.Rng(seed).uniform(f.dim), config, seed
+    f = _build_problem(args, seed)
+    if target is ContractionTheorem.PROP_QUADRATIC and f.hessian_lipschitz != 0.0:
+        raise ValueError("prop_quadratic needs a quadratic problem (laplacian2d)")
+    return analysis.ensure_minimizer(f), config, seed
+
+
+def _start(f, seed: int):
+    """The start vector x0 of a solve."""
+    return problems.Rng(seed).uniform(f.dim)
 
 
 def _write_out(path: Optional[str], text: str) -> None:
@@ -187,8 +196,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not args.out:
         raise ValueError("run requires --out for the trace CSV")
     method = solvers.parse_method(args.method)
-    f, x0, config, _ = _setup(args, method)
-    trace = solvers.solve(f, config, x0)
+    f, config, seed = _setup(args, method)
+    trace = solvers.solve(f, config, _start(f, seed))
     columns = (getattr(trace, name).tolist() for name in TRACE_CSV_HEADER.split(","))
     _write_out(args.out, format_table(TRACE_CSV_HEADER, zip(*columns)))
     kappa = float(f.lipschitz / f.mu)
@@ -209,8 +218,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if len(names) < 2:
         raise ValueError("compare needs at least 2 methods")
     methods = [solvers.parse_method(s) for s in names]
-    f, x0, config, _ = _setup(args, methods[0])
-    rows = analysis.compare(f, methods, config, x0, regime=RateRegime(args.regime))
+    f, config, seed = _setup(args, methods[0])
+    rows = analysis.compare(f, methods, config, _start(f, seed),
+                            regime=RateRegime(args.regime))
     _write_out(args.out, comparison_table(rows, args.format))
     all_converged = all(r.status == TerminalStatus.CONVERGED.value for r in rows)
     return 0 if all_converged else _NOT_CONVERGED
@@ -228,12 +238,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     if not 0.0 <= args.mu_hat_frac <= 1.0:
         raise ValueError(f"--mu-hat-frac must lie in [0, 1], got {args.mu_hat_frac}")
     target, method = CHECKS[check]
-    if target is ContractionTheorem.PROP_QUADRATIC and args.problem != "laplacian2d":
-        raise ValueError("prop_quadratic needs a quadratic problem (laplacian2d)")
-    f, x0, config, seed = _setup(args, method)
+    f, config, seed = _setup(args, method, target)
 
     if isinstance(target, ContractionTheorem):
-        trace = solvers.solve(f, config, x0)
+        trace = solvers.solve(f, config, _start(f, seed))
         report = contraction_residuals(target, trace, f)
         passed = report.passes()
         summary = {

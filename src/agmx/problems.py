@@ -43,8 +43,7 @@ class Rng:
       (cos, sin) and multi-dimensional shapes fill row-major.
     * ``signs``: +1 where uniform < 1/2, else -1.
 
-    Default seed 42.  A stream is not shared between threads: a thread draws
-    from its own copy, jumped to the part of the stream it draws.
+    Default seed 42.  A stream is not shared between threads.
     """
 
     def __init__(self, seed: int = 42):

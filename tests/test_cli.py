@@ -109,6 +109,8 @@ class TestErrorPaths:
         (["diagnose", *LAP9, "--check", "nosuch"], "unknown check 'nosuch'"),
         (["diagnose", *PIECEWISE, "--d", "20", "--check", "prop_quadratic"],
          "prop_quadratic needs a quadratic problem (laplacian2d)"),
+        (["diagnose", *LOGISTIC, "--check", "prop_quadratic"],
+         "prop_quadratic needs a quadratic problem (laplacian2d)"),
         (["diagnose", *LAP9, "--check", "strong_hnag", "--states", "0"],
          "--states must be >= 1, got 0"),
         (["diagnose", *LAP9, "--check", "strong_hnag", "--states", "-3"],
@@ -167,6 +169,8 @@ class TestErrorPaths:
          "tol_rel_grad must lie in (0, 1)"),
         (["diagnose", *PIECEWISE, "--check", "strong_hnag_plus", "--max-iter", "0"],
          "max_iter must be >= 1"),
+        (["diagnose", *PIECEWISE, "--check", "prop_quadratic", "--tol", "2"],
+         "tol_rel_grad must lie in (0, 1)"),
         (["rates", "--kappas", ","], "rates needs at least 1 method and 1 kappa"),
         (["rates", "--methods", ","], "rates needs at least 1 method and 1 kappa"),
         # a problem flag the chosen builder does not take
@@ -436,6 +440,30 @@ class TestDiagnose:
         assert report["iterations"] == 5
         assert report["status"] == "max_iter"
         assert report["pass"] is True
+
+    def test_prop_quadratic_reads_the_built_problem(self, monkeypatch, capsys):
+        # a problem with a constant Hessian (hessian_lipschitz 0.0) qualifies,
+        # whatever --problem names it
+        monkeypatch.setitem(problems.BUILDERS, "piecewise",
+                            lambda seed, **_: build_laplacian2d(9))
+        assert run_cli(["diagnose", *PIECEWISE, "--check", "prop_quadratic"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    @pytest.mark.parametrize("check", ["strong_hnag", "strong_partial"])
+    def test_sweep_draws_no_start_vector(self, check, monkeypatch, capsys):
+        # the one Rng a sweep makes is its states' Rng(seed + 1)
+        seeds = []
+        init = problems.Rng.__init__
+
+        def recorded(self, seed=42):
+            seeds.append(seed)
+            init(self, seed)
+
+        monkeypatch.setattr(problems.Rng, "__init__", recorded)
+        assert run_cli(["diagnose", *LAP9, "--check", check, "--states", "4",
+                        "--seed", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+        assert seeds == [4]
 
     def test_strong_sweep(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -252,10 +252,9 @@ class TestSharedAnchor:
     def test_sweep_equals_reference_loop(self, problem, states, kind, request):
         # the sweep checks kind's own flow: the reference runs at flow_beta;
         # x* is all +0.0, nonzero, and all -0.0.  At 200 states the sweep
-        # spans blocks: 19 at d = 361 (odd, the last partial), 5 at d = 101
-        # and 50 at d = 1000.  At d = 4225 (odd) and 7569 a block is one
-        # state, whose y row a worker draws one state ahead.  Every sweep
-        # leaves its Rng where the loop leaves it
+        # spans blocks: 19 at d = 361 (the last partial), 5 at d = 101 and
+        # 50 at d = 1000.  At d = 4225 and 7569 a block is one state.  Every
+        # sweep leaves its Rng where the loop leaves it
         f = request.getfixturevalue(problem)
         mu_hat, beta = 0.5 * f.mu, flow_beta(kind, f)
         swept = agmx.Rng(3)
@@ -263,8 +262,8 @@ class TestSharedAnchor:
         rng = agmx.Rng(3)
         margins = []
         for i in range(states):
-            x = f.minimizer + SCALES[i % 4] * rng.standard_normal(f.dim)
-            y = f.minimizer + SCALES[i % 4] * rng.standard_normal(f.dim)
+            x = f.minimizer + SCALES[i % 4] * (2.0 * rng.uniform(f.dim) - 1.0)
+            y = f.minimizer + SCALES[i % 4] * (2.0 * rng.uniform(f.dim) - 1.0)
             lhs, rhs = reference_strong_lyapunov_terms(kind, f, x, y, beta, mu_hat)
             assert (rep.lhs[i], rep.rhs[i], rep.residuals[i]) == (lhs, rhs, lhs - rhs)
             margins.append((lhs - rhs) + 1e-12 * (1.0 + abs(lhs)))
@@ -278,14 +277,14 @@ class TestSharedAnchor:
     @pytest.mark.parametrize("n", [87, 19])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sweep_peak_does_not_grow_with_states(self, kind, n, centered):
-        # a state adds its report rows (k, lhs, rhs, residual, allowance and
-        # the |lhs| it is formed from) to the traced peak, nothing more
+        # at n = 87 each block is one state; at n = 19 a block holds 11.
+        # Past the first block, an added state may add its report rows (k,
+        # lhs, rhs, residual, allowance and the |lhs| it is formed from) to
+        # the traced peak, nothing more
         lap = agmx.build_laplacian2d(n)
         d = lap.dim
         f = (agmx.QuadraticObjective(lap.matrix, agmx.Rng(4).standard_normal(d),
                                      lap.mu, lap.lipschitz) if centered else lap)
-        # the first sweep imports the worker's modules and sets up the oracle
-        strong_lyapunov_sweep(kind, f, agmx.Rng(5), 1, SCALES, 0.5 * f.mu)
 
         def peak(states):
             tracemalloc.start()
@@ -296,22 +295,7 @@ class TestSharedAnchor:
                 tracemalloc.stop()
 
         few, many = 60, 600
-        report = 6 * 8
-        if n == 19:
-            # a block holds 11 states, drawn and evaluated on this thread:
-            # past the first block, the peak grows by the report rows alone
-            assert peak(many) - peak(few) <= report * (many - few)
-            return
-        # a block is one state, and a worker draws the next state's y row
-        # meanwhile, so the peak depends on how the two threads interleave.
-        # It is bounded, whatever the states, by rows of d floats: the
-        # scratch (6), the y ring (2), two draws in flight (3 each: a draw
-        # peaks at its uint64 stream and mix, then at its floats and their
-        # halves), and what a state holds (4: the anchor's gradient, x, and
-        # the gradients the oracle returns and the kernel copies)
-        row = 8 * d
-        for states in (few, many):
-            assert peak(states) <= (6 + 2 + 2 * 3 + 4) * row + report * states
+        assert peak(many) - peak(few) <= 6 * 8 * (many - few)
 
     def test_sweep_makes_one_oracle_call_per_state(self, lap9, monkeypatch):
         calls = count_calls_at_class(monkeypatch, agmx.QuadraticObjective)
@@ -384,48 +368,25 @@ class TestSharedAnchor:
         assert len(lines) == 4
 
 
-def draws_by_thread(monkeypatch, fail_off_main=False):
-    """Patch ``Rng.standard_normal`` to count its draws by thread, main or not;
-    with ``fail_off_main`` a draw off the main thread raises MemoryError."""
-    counts = {"main": 0, "worker": 0}
-    draw = agmx.Rng.standard_normal
+class TestSweepThread:
+    """A sweep draws every state and calls every oracle on the calling thread."""
 
-    def counted(self, size=None):
-        main = threading.current_thread() is threading.main_thread()
-        counts["main" if main else "worker"] += 1
-        if fail_off_main and not main:
-            raise MemoryError("worker draw failed")
-        return draw(self, size)
+    def test_every_draw_is_on_the_calling_thread(self, lap65, monkeypatch):
+        threads = []
+        draw = agmx.Rng._raw
 
-    monkeypatch.setattr(agmx.Rng, "standard_normal", counted)
-    return counts
+        def recorded(self, n):
+            threads.append(threading.current_thread())
+            return draw(self, n)
 
-
-class TestSweepWorker:
-    """Where a state's two rows do not fit one draw (d > 4096), a worker
-    thread draws each y row one state ahead; no thread outlives the sweep."""
-
-    def test_worker_draws_the_y_rows(self, lap65, monkeypatch):
-        counts = draws_by_thread(monkeypatch)
+        monkeypatch.setattr(agmx.Rng, "_raw", recorded)
         before = threading.active_count()
         strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap65, agmx.Rng(1), 5, SCALES)
-        assert counts == {"main": 5, "worker": 5}
+        assert threads == [threading.current_thread()] * 5    # one state per block
         assert threading.active_count() == before
 
-    def test_block_sweep_draws_on_its_own_thread(self, lap19, monkeypatch):
-        counts = draws_by_thread(monkeypatch)
-        strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap19, agmx.Rng(1), 30, SCALES)
-        assert counts == {"main": 3, "worker": 0}    # blocks of 11 states
-
-    def test_worker_error_propagates(self, lap65, monkeypatch):
-        draws_by_thread(monkeypatch, fail_off_main=True)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="worker draw failed"):
-            strong_lyapunov_sweep(LyapunovKind.E_HNAG, lap65, agmx.Rng(1), 5, SCALES)
-        assert threading.active_count() == before
-
-    def test_main_thread_error_joins_the_worker(self, lap65):
-        # the oracle fails at the third state, with the fourth y row in flight
+    def test_oracle_error_propagates(self, lap65):
+        # at d > 4096 each block is one state; the oracle fails at the third
         calls = {"n": 0}
 
         def grad(x):
@@ -436,20 +397,9 @@ class TestSweepWorker:
 
         f = SimpleObjective(lap65.value, grad, dim=lap65.dim, mu=lap65.mu,
                             lipschitz=lap65.lipschitz, minimizer=lap65.minimizer)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="oracle failed") as caught:
+        with pytest.raises(ValueError, match="oracle failed"):
             strong_lyapunov_sweep(LyapunovKind.E_HNAG, f, agmx.Rng(1), 9, SCALES)
-        # the traceback still holds the sweep's frame, and so its draws
-        assert caught.tb is not None
-        assert threading.active_count() == before
-
-    def test_worker_error_is_one_error_line(self, monkeypatch, capsys):
-        draws_by_thread(monkeypatch, fail_off_main=True)
-        assert cli.main(["diagnose", "--problem", "laplacian2d", "--n", "65",
-                         "--check", "strong_partial", "--states", "3"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: worker draw failed\n"
+        assert calls["n"] == 4
 
 
 class TestCheckMethods:
